@@ -2,7 +2,8 @@
 //
 // google-benchmark microbenchmarks for the core kernels: SCC, reachability
 // equivalence, both bisimulation algorithms, the two compression functions,
-// query evaluation on G vs Gr, and 2-hop construction.
+// query evaluation on G vs Gr, the pattern fixpoint on Gr, and 2-hop
+// construction.
 
 #include <benchmark/benchmark.h>
 
@@ -16,9 +17,11 @@
 #include "graph/csr.h"
 #include "graph/scc.h"
 #include "index/two_hop.h"
+#include "pattern/match.h"
 #include "reach/compress_r.h"
 #include "reach/equivalence.h"
 #include "reach/queries.h"
+#include "serve/load_gen.h"
 
 namespace qpgc {
 namespace {
@@ -175,6 +178,31 @@ void BM_BfsCsrOnGr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BfsCsrOnGr);
+
+// The end-to-end benchmark's match datasets: arg 0 its social graph, whose
+// pattern quotient barely compresses; arg 1 its 141x141 directed grid.
+Graph MatchServingGraph(int64_t which) {
+  Graph g = which == 0 ? PreferentialAttachment(20000, 4, 0.45, 13)
+                       : DirectedGrid(141, 141);
+  AssignZipfLabels(g, 4, 1.1, 14);
+  return g;
+}
+
+// The Match fixpoint alone on the frozen pattern quotient; one iteration
+// runs all 8 serving patterns.
+void BM_MatchOnGr(benchmark::State& state) {
+  const Graph g = MatchServingGraph(state.range(0));
+  const CsrGraph gr(CompressB(g).gr);
+  const std::vector<PatternQuery> patterns = ServeLoadPatterns(g, 8, 70);
+  for (auto _ : state) {
+    for (const PatternQuery& q : patterns) {
+      benchmark::DoNotOptimize(Match(gr, q));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(patterns.size()));
+}
+BENCHMARK(BM_MatchOnGr)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_TwoHopBuild(benchmark::State& state) {
   const Graph g = SocialGraph(state.range(0));

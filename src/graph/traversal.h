@@ -199,8 +199,10 @@ bool DfsReaches(const G& g, NodeId u, NodeId v,
 /// most `max_depth`. Sources are marked only if they lie on a suitable
 /// non-empty path (e.g. a cycle through another source).
 ///
-/// This is the workhorse of the bounded-simulation matcher: one multi-source
-/// sweep decides "exists v' in S(u') with dist(v, v') <= k" for all v.
+/// The bounded-simulation matcher's sweep: one multi-source sweep decides
+/// "exists v' in S(u') with dist(v, v') <= k" for all v. The matcher uses it
+/// for '*' bounds, bounds >= |V|, and prunes whose per-candidate pull runs
+/// out of budget (pattern/match.h).
 template <GraphView G>
 Bitset BoundedMultiSourceReach(const G& g, std::span<const NodeId> sources,
                                uint32_t max_depth, Direction dir) {

@@ -13,8 +13,10 @@ size_t NumAnchors(size_t count) {
 }
 
 void AppendBytes(std::vector<std::byte>* out, const void* data, size_t n) {
-  const auto* p = static_cast<const std::byte*>(data);
-  out->insert(out->end(), p, p + n);
+  if (n == 0) return;  // `data` may be an empty span's null pointer
+  const size_t at = out->size();
+  out->resize(at + n);
+  std::memcpy(out->data() + at, data, n);
 }
 
 /// LEB128; at most 5 bytes for a u32.

@@ -107,6 +107,9 @@ class ArtifactWriter {
                 table.size() * sizeof(SectionEntry));
     for (size_t i = 0; i < sections_.size(); ++i) {
       const EncodedSection& enc = sections_[i].second;
+      // An empty section (an unsharded save's cross edges) has a null
+      // data(), which memcpy must not be passed even for zero bytes.
+      if (enc.bytes.empty()) continue;
       std::memcpy(file.data() + table[i].offset, enc.bytes.data(),
                   enc.bytes.size());
     }

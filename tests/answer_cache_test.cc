@@ -371,6 +371,7 @@ TEST(ServingCacheStressTest, ConcurrentCachedQueriesMatchOracle) {
   version_graph.emplace(1, initial);
 
   std::atomic<bool> done{false};
+  std::atomic<size_t> requests{0};
   std::vector<std::vector<CacheObservation>> observed(kReaders);
 
   const ReaderWorkload workload = ReaderWorkload::ZipfHotSet(1.1, 128);
@@ -397,8 +398,14 @@ TEST(ServingCacheStressTest, ConcurrentCachedQueriesMatchOracle) {
           ob.answer = pin->Reach(ob.u, ob.v);
         }
         log.push_back(ob);
+        requests.fetch_add(1, std::memory_order_relaxed);
       }
     });
+  }
+  // The readers repeat hot pairs on version 1 before the writer starts, so
+  // the exact tier sees hits however the threads happen to be scheduled.
+  while (requests.load(std::memory_order_relaxed) < kReaders * 64) {
+    std::this_thread::yield();
   }
 
   for (size_t round = 2; round <= kVersions; ++round) {

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "gen/adversarial.h"
 #include "gen/uniform.h"
+#include "graph/csr.h"
 #include "graph/traversal.h"
+#include "util/rng.h"
 
 namespace qpgc {
 namespace {
@@ -208,8 +214,183 @@ TEST_P(MatchAgainstBruteForce, FixpointsAgree) {
   EXPECT_EQ(fast.fixpoint_sets, slow.fixpoint_sets) << "seed=" << seed;
 }
 
+// Random pattern over labels [0, num_labels): 3-5 nodes, a random edge set
+// that may hold self-loops and cycles, bounds drawn from `bounds`.
+PatternQuery RandomTestPattern(Rng& rng, size_t num_labels,
+                               const std::vector<uint32_t>& bounds) {
+  PatternQuery q;
+  const size_t nodes = 3 + rng.Uniform(3);
+  for (size_t u = 0; u < nodes; ++u) {
+    q.AddNode(static_cast<Label>(rng.Uniform(num_labels)));
+  }
+  std::vector<std::vector<uint8_t>> used(nodes, std::vector<uint8_t>(nodes));
+  const size_t edges = nodes - 1 + rng.Uniform(nodes);
+  for (size_t i = 0; i < edges; ++i) {
+    const uint32_t from = static_cast<uint32_t>(rng.Uniform(nodes));
+    const uint32_t to = static_cast<uint32_t>(rng.Uniform(nodes));
+    if (used[from][to]) continue;
+    used[from][to] = 1;
+    q.AddEdge(from, to, rng.Pick(bounds));
+  }
+  return q;
+}
+
+// Checks Match, BooleanMatch and a warm-started MatchFrom on both the
+// dynamic Graph and its frozen CsrGraph against the brute-force fixpoint.
+void ExpectAllAgree(const Graph& g, const PatternQuery& q, Rng& rng) {
+  const MatchResult slow = BruteForceMatch(g, q);
+  const CsrGraph frozen(g);
+  const MatchResult on_graph = Match(g, q);
+  const MatchResult on_csr = Match(frozen, q);
+  EXPECT_EQ(on_graph.matched, slow.matched);
+  EXPECT_EQ(on_graph.fixpoint_sets, slow.fixpoint_sets);
+  EXPECT_EQ(on_graph.match_sets, slow.match_sets);
+  EXPECT_EQ(on_csr.fixpoint_sets, slow.fixpoint_sets);
+  EXPECT_EQ(on_csr.match_sets, slow.match_sets);
+  EXPECT_EQ(BooleanMatch(g, q), slow.matched);
+  EXPECT_EQ(BooleanMatch(frozen, q), slow.matched);
+
+  // Warm start: the fixpoint plus a random half of the other label matches.
+  std::vector<std::vector<NodeId>> warm(q.num_nodes());
+  for (uint32_t u = 0; u < q.num_nodes(); ++u) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (g.label(v) != q.label(u)) continue;
+      if (std::binary_search(slow.fixpoint_sets[u].begin(),
+                             slow.fixpoint_sets[u].end(), v) ||
+          rng.Chance(0.5)) {
+        warm[u].push_back(v);
+      }
+    }
+  }
+  EXPECT_EQ(MatchFrom(g, q, warm).fixpoint_sets, slow.fixpoint_sets);
+  EXPECT_EQ(MatchFrom(frozen, q, std::move(warm)).fixpoint_sets,
+            slow.fixpoint_sets);
+}
+
+TEST_P(MatchAgainstBruteForce, RandomPatternsAgreeOnGraphAndCsr) {
+  const uint64_t seed = GetParam();
+  // 60 nodes, so that bound 40 takes the pull path and |V| + 1 the sweep.
+  const Graph g = GenerateUniform(60, 200, 3, seed);
+  const std::vector<uint32_t> bounds = {
+      1, 2, 3, 40, static_cast<uint32_t>(g.num_nodes() + 1), kStarBound};
+  Rng rng(seed * 7919);
+  for (int i = 0; i < 8; ++i) {
+    const PatternQuery q = RandomTestPattern(rng, 3, bounds);
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " pattern " +
+                 std::to_string(i) + ": " + q.DebugString());
+    ExpectAllAgree(g, q, rng);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MatchAgainstBruteForce,
                          ::testing::Range<uint64_t>(1, 13));
+
+TEST(MatchTest, LongChainWithDeepBoundNeedsNoRecursion) {
+  // 0 -> 1 -> ... -> 5999 with only the last node labelled B: node i
+  // reaches it within 5000 hops iff i >= 999. The pull's DFS from node 0
+  // holds 5000 frames at once.
+  const size_t n = 6000;
+  Graph g(std::vector<Label>(n, 0));
+  for (NodeId v = 0; v + 1 < n; ++v) g.AddEdge(v, v + 1);
+  g.set_label(n - 1, 1);
+  PatternQuery q;
+  const uint32_t a = q.AddNode(0);
+  const uint32_t b = q.AddNode(1);
+  q.AddEdge(a, b, 5000);
+  std::vector<NodeId> want_a;
+  for (NodeId v = 999; v + 1 < n; ++v) want_a.push_back(v);
+  for (const MatchResult& m : {Match(g, q), Match(CsrGraph(g), q)}) {
+    ASSERT_TRUE(m.matched);
+    EXPECT_EQ(m.match_sets[a], want_a);
+    EXPECT_EQ(m.match_sets[b], (std::vector<NodeId>{n - 1}));
+  }
+  EXPECT_TRUE(BooleanMatch(g, q));
+}
+
+TEST(MatchTest, PullBudgetExhaustionFallsBackToSweep) {
+  // A 20x20 grid, edges right and down, with B only at the bottom-left
+  // corner: only column 0 reaches it. The pull from the first candidate
+  // walks the whole grid right-first at bound 40, runs out of its |E|
+  // budget, and the sweep finishes the prune.
+  const size_t side = 20;
+  Graph g = DirectedGrid(side, side);
+  const NodeId corner = static_cast<NodeId>((side - 1) * side);
+  g.set_label(corner, 1);
+  PatternQuery q;
+  const uint32_t a = q.AddNode(0);
+  const uint32_t b = q.AddNode(1);
+  q.AddEdge(a, b, 40);
+
+  // The first prune of (a, b) does exhaust the pull budget.
+  match_detail::PullScratch scratch;
+  const NodeId targets[] = {corner};
+  scratch.Begin(g.num_nodes(), targets);
+  size_t budget = g.num_edges();
+  bool exhausted = false;
+  for (NodeId v = 0; v < g.num_nodes() && !exhausted; ++v) {
+    if (v == corner) continue;
+    exhausted = match_detail::PullReaches(g, v, 40, scratch, budget) ==
+                match_detail::PullVerdict::kOverBudget;
+  }
+  EXPECT_TRUE(exhausted);
+
+  Rng rng(5);
+  ExpectAllAgree(g, q, rng);
+  // Exactly column 0 above the corner reaches it.
+  const MatchResult m = Match(g, q);
+  ASSERT_TRUE(m.matched);
+  std::vector<NodeId> want_a;
+  for (NodeId r = 0; r + 1 < side; ++r) want_a.push_back(r * side);
+  EXPECT_EQ(m.match_sets[a], want_a);
+}
+
+TEST(MatchTest, SelfLoopPruneFallsBackFromHalfCompactedSet) {
+  // Pattern A -> A (bound 40), so S(u') is S(u) itself. Data: A nodes 0 <-> 1
+  // (kept by the pull), A sink 2 (dropped by the pull), then A node 3 whose
+  // only way on is a 20x20 grid of B nodes whose far corner leads back to 2,
+  // 40 edges away. The pull spends its budget inside the grid on node 3.
+  // The sweep then runs from the half-compacted set, which still holds the
+  // dropped node 2, so node 3 survives one round; the re-check drops it.
+  const size_t side = 20;
+  const NodeId grid0 = 4;
+  Graph g(std::vector<Label>(grid0 + side * side, 1));
+  for (NodeId v = 0; v < grid0; ++v) g.set_label(v, 0);
+  g.AddEdge(0, 1);
+  g.AddEdge(1, 0);
+  g.AddEdge(3, grid0);
+  for (NodeId r = 0; r < side; ++r) {
+    for (NodeId c = 0; c < side; ++c) {
+      const NodeId x = grid0 + r * side + c;
+      if (r + 1 < side) g.AddEdge(x, x + side);
+      if (c + 1 < side) g.AddEdge(x, x + 1);
+    }
+  }
+  g.AddEdge(grid0 + side * side - 1, 2);
+  PatternQuery q;
+  const uint32_t a = q.AddNode(0);
+  q.AddEdge(a, a, 40);
+  Rng rng(6);
+  ExpectAllAgree(g, q, rng);
+  const MatchResult m = Match(g, q);
+  ASSERT_TRUE(m.matched);
+  EXPECT_EQ(m.match_sets[a], (std::vector<NodeId>{0, 1}));
+}
+
+TEST(MatchTest, BooleanMatchStopsAtFirstEmptySet) {
+  // A -> B -> C where no B reaches the one C: S(B) empties on the first
+  // prune, and the Boolean answer must not wait for the remaining edges.
+  Graph g(std::vector<Label>{0, 1, 0, 1, 2});
+  g.AddEdge(0, 1);
+  g.AddEdge(2, 3);
+  PatternQuery q;
+  const uint32_t a = q.AddNode(0);
+  const uint32_t b = q.AddNode(1);
+  const uint32_t c = q.AddNode(2);
+  q.AddEdge(b, c, 1);
+  q.AddEdge(a, b, 1);
+  EXPECT_FALSE(BooleanMatch(g, q));
+  EXPECT_FALSE(Match(g, q).matched);
+}
 
 }  // namespace
 }  // namespace qpgc
