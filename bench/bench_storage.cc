@@ -6,8 +6,8 @@
 //     compact encodings (delta16/raw32 via IndexEncoding::kAuto) vs plain
 //     8-byte offsets; the acceptance bar is >= 1.8x smaller;
 //   * cold start — time to first answered query: MmapSnapshot::Open off
-//     the artifact vs the full verified deserialize
-//     (storage/snapshot_io.h); the bar is >= 10x faster;
+//     the artifact vs the verified heap load, a verified Open and then a
+//     copy (storage/snapshot_io.h); the bar is >= 10x faster;
 //   * resident bytes — mapped artifact size (page-cache backed, shared
 //     across replicas) and varint heap-decode cost vs the in-RAM frozen
 //     snapshot, the Fig. 12(d) memory axis;
@@ -123,9 +123,9 @@ int main() {
                                        static_cast<double>(auto_fp.index_bytes)
                                  : 0.0;
 
-    // Cold start: open (or deserialize) then answer one query, the
-    // replica-spin-up number. The mmap side is the trusted fast path; the
-    // deserialize side is the default fully verified load. Best of 5 each —
+    // Cold start: open (or load) then answer one query, the replica-spin-up
+    // number. The mmap side is the trusted fast path; the heap side is the
+    // default fully verified load. Best of 5 each —
     // at tens of microseconds a single sample is mostly scheduler noise.
     double cold_mmap = 1e30, cold_full = 1e30;
     for (int rep = 0; rep < 5; ++rep) {
@@ -195,7 +195,7 @@ int main() {
   bench::Rule();
   std::printf(
       "expected shape: compact index >= 1.8x smaller than raw64; cold start "
-      ">= 10x\nfaster off the mapping than via full deserialize; mmap qps "
+      ">= 10x\nfaster off the mapping than via the verified heap load; mmap qps "
       "within a small\nfactor of in-RAM qps (page-cache resident after "
       "warm-up).\n");
   return 0;

@@ -10,32 +10,4 @@ Partition MaxBisimulation(const Graph& g, BisimEngine engine) {
   return MaxBisimulation<Graph>(g, engine);
 }
 
-const char* BisimEngineName(BisimEngine engine) {
-  switch (engine) {
-    case BisimEngine::kPaigeTarjan:
-      return "paige-tarjan";
-    case BisimEngine::kRanked:
-      return "ranked";
-    case BisimEngine::kSignature:
-      return "signature";
-  }
-  return "unknown";
-}
-
-bool ParseBisimEngine(std::string_view text, BisimEngine* engine) {
-  if (text == "paige-tarjan" || text == "pt") {
-    *engine = BisimEngine::kPaigeTarjan;
-    return true;
-  }
-  if (text == "ranked") {
-    *engine = BisimEngine::kRanked;
-    return true;
-  }
-  if (text == "signature" || text == "sig") {
-    *engine = BisimEngine::kSignature;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace qpgc

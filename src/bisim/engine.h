@@ -13,15 +13,13 @@
 //                 differential testing.
 //
 // The enum threads through CompressB (core/pattern_scheme.h), the k-bisim
-// variants (bisim/kbisim.h), the incremental re-converge path (inc/), and
-// qpgc_tool --bisim-engine. This header stays lightweight (enum + Graph
-// overload) so enum-only consumers don't pull in the engine bodies; the
-// GraphView template dispatch lives in bisim/max_bisimulation.h.
+// variants (bisim/kbisim.h), and the incremental re-converge path (inc/).
+// This header stays lightweight (enum + Graph overload) so enum-only
+// consumers don't pull in the engine bodies; the GraphView template
+// dispatch lives in bisim/max_bisimulation.h.
 
 #ifndef QPGC_BISIM_ENGINE_H_
 #define QPGC_BISIM_ENGINE_H_
-
-#include <string_view>
 
 #include "bisim/partition.h"
 #include "graph/graph.h"
@@ -39,13 +37,6 @@ enum class BisimEngine {
 /// GraphView template overload is in bisim/max_bisimulation.h.
 Partition MaxBisimulation(const Graph& g,
                           BisimEngine engine = BisimEngine::kPaigeTarjan);
-
-/// Canonical spelling, e.g. "paige-tarjan".
-const char* BisimEngineName(BisimEngine engine);
-
-/// Parses "paige-tarjan"/"pt", "ranked", "signature"/"sig" (case-sensitive).
-/// Returns false on anything else, leaving *engine untouched.
-bool ParseBisimEngine(std::string_view text, BisimEngine* engine);
 
 }  // namespace qpgc
 

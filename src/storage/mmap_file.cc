@@ -7,8 +7,8 @@
 #include <utility>
 
 #if defined(_WIN32)
-// The mmap tier is POSIX-only; Windows builds fall back to the deserialize
-// path (storage/snapshot_io.h), which uses plain file reads.
+// The mmap tier is POSIX-only. Every artifact load opens through it
+// (storage/mmap_snapshot.h), so on Windows they all return IoError.
 #else
 #include <fcntl.h>
 #include <sys/mman.h>

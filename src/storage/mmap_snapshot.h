@@ -10,19 +10,24 @@
 // byte-equal to the in-RAM path (tests/storage_roundtrip_test.cc).
 //
 // Cold-start economics: Open() reads only the header and section table
-// (plus the optional validation/verification passes); quotient pages fault
-// in lazily as queries touch them, and the kernel shares one page-cache
-// copy across every process mapping the same artifact. kVarint-encoded
-// adjacency sections are the exception — not addressable in place, they are
-// decoded to heap once at Open (the cold-shard trade-off, docs/STORAGE.md).
+// (plus the optional verification pass); quotient pages fault in lazily as
+// queries touch them, and the kernel shares one page-cache copy across
+// every process mapping the same artifact. kVarint-encoded adjacency
+// sections are the exception — not addressable in place, they are decoded
+// to heap once at Open (the cold-shard trade-off, docs/STORAGE.md).
 //
-// Trust model: Open() defaults to {verify_checksums = false,
-// validate_structure = false} — header, section table, their checksums, and
-// the total file length are ALWAYS verified, but payload bytes are served
-// as-is. That is the out-of-core fast path for artifacts this process (or
-// its deploy pipeline) wrote. For artifacts of unknown provenance pass
-// LoadOptions{true, true}: a payload bit flip can otherwise produce wrong
-// answers or out-of-bounds reads, exactly like any mmap-serving store.
+// One reader: Open() is the only code that decodes artifact sections. It
+// wires every section kind of storage/format.h, and the heap loaders of
+// storage/snapshot_io.h (LoadServingSnapshot, LoadShardSet) are copies of
+// an opened MmapSnapshot.
+//
+// Trust model: Open() defaults to LoadOptions{/*verify=*/false} — header,
+// section table, their checksums, the total file length and every
+// offset's bounds are ALWAYS checked, but payload bytes are served as-is.
+// That is the out-of-core fast path for artifacts this process (or its
+// deploy pipeline) wrote. For artifacts of unknown provenance pass
+// LoadOptions{/*verify=*/true}: a payload bit flip can otherwise produce
+// wrong answers or out-of-bounds reads, exactly like any mmap-serving store.
 //
 // Lifetime: MmapCsrGraph and every span accessor view the mapping owned by
 // the MmapSnapshot; they are valid only while it lives (docs/LIFETIMES.md;
@@ -81,6 +86,12 @@ class QPGC_GSL_POINTER MmapCsrGraph {
   bool HasEdge(NodeId u, NodeId v) const { return ViewHasEdge(*this, u, v); }
   Label label(NodeId u) const { return labels_[u]; }
 
+  /// Every out-edge target, OutNeighbors(0) .. OutNeighbors(n - 1) back to
+  /// back.
+  std::span<const NodeId> OutEdgeTargets() const QPGC_LIFETIME_BOUND {
+    return out_targets_;
+  }
+
   /// Dense in-edge interface (DenseInEdgeView): lets the PT engine borrow
   /// the mapped in-source array instead of materializing its own.
   size_t InEdgeBegin(NodeId u) const { return in_offsets_[u]; }
@@ -114,11 +125,10 @@ class QPGC_GSL_OWNER MmapSnapshot {
 
   /// Maps `path` and wires the serving views. Defaults are the trusted
   /// fast path (no payload verification — see the trust model above); pass
-  /// LoadOptions{true, true} for artifacts of unknown provenance.
+  /// LoadOptions{/*verify=*/true} for artifacts of unknown provenance.
   static Result<MmapSnapshot> Open(
       const std::string& path,
-      const LoadOptions& options = LoadOptions{/*verify_checksums=*/false,
-                                               /*validate_structure=*/false});
+      const LoadOptions& options = LoadOptions{/*verify=*/false});
 
   // --- Identity -------------------------------------------------------------
 
@@ -165,9 +175,30 @@ class QPGC_GSL_OWNER MmapSnapshot {
     const uint64_t begin = member_offsets_[block];
     return member_flat_.subspan(begin, member_offsets_[block + 1] - begin);
   }
-  /// Boundary-exit nodes (sharded artifacts; empty otherwise).
+  /// Every block's members, pattern_block_members(0) .. (last block) back
+  /// to back.
+  std::span<const NodeId> pattern_members() const QPGC_LIFETIME_BOUND {
+    return member_flat_;
+  }
+  /// Pattern edges into ghost blocks (sharded artifacts; empty otherwise),
+  /// flattened: (owned block, ghost node) pairs.
+  std::span<const NodeId> cross_edges() const QPGC_LIFETIME_BOUND {
+    return cross_edges_;
+  }
+  /// Boundary-exit and boundary-entry nodes, each strictly ascending
+  /// (sharded artifacts; empty otherwise). has_boundary_*() tells an
+  /// absent table from an empty one.
   std::span<const NodeId> boundary_exits() const QPGC_LIFETIME_BOUND {
     return boundary_exits_;
+  }
+  std::span<const NodeId> boundary_entries() const QPGC_LIFETIME_BOUND {
+    return boundary_entries_;
+  }
+  bool has_boundary_exits() const { return has_boundary_exits_; }
+  bool has_boundary_entries() const { return has_boundary_entries_; }
+  /// Owning shard of every original node (sharded saves; empty otherwise).
+  std::span<const uint32_t> partition() const QPGC_LIFETIME_BOUND {
+    return partition_;
   }
 
   // --- Accounting -----------------------------------------------------------
@@ -180,6 +211,9 @@ class QPGC_GSL_OWNER MmapSnapshot {
   size_t DecodedHeapBytes() const;
 
  private:
+  // Checks and wires every section of `parsed` (Open's body).
+  Status Wire(const ParsedArtifact& parsed, bool verify);
+
   MmapFile file_;
   FileHeader header_{};
   MmapCsrGraph reach_gr_;
@@ -194,7 +228,15 @@ class QPGC_GSL_OWNER MmapSnapshot {
   // qpgc-pin-escape: allow(member-view-store)
   std::span<const NodeId> member_flat_;
   // qpgc-pin-escape: allow(member-view-store)
+  std::span<const NodeId> cross_edges_;
+  // qpgc-pin-escape: allow(member-view-store)
   std::span<const NodeId> boundary_exits_;
+  // qpgc-pin-escape: allow(member-view-store)
+  std::span<const NodeId> boundary_entries_;
+  // qpgc-pin-escape: allow(member-view-store)
+  std::span<const uint32_t> partition_;
+  bool has_boundary_exits_ = false;
+  bool has_boundary_entries_ = false;
   // Stable backing for sections that cannot be served in place (kVarint
   // adjacency, defensively kConstU32): spans above may point into these.
   // vector-of-vectors so growth never moves an already-referenced buffer.

@@ -2,6 +2,7 @@
 
 #include "storage/snapshot_io.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -9,16 +10,10 @@
 #include "graph/builder.h"
 #include "graph/topology.h"
 #include "serve/boundary_summary.h"
-#include "storage/mmap_file.h"
+#include "storage/mmap_snapshot.h"
 
 namespace qpgc::storage {
 namespace {
-
-#define QPGC_RETURN_IF_ERROR(expr)        \
-  do {                                    \
-    const Status _status = (expr);        \
-    if (!_status.ok()) return _status;    \
-  } while (0)
 
 // ---------------------------------------------------------------------------
 // Writer
@@ -129,293 +124,68 @@ class ArtifactWriter {
 };
 
 // ---------------------------------------------------------------------------
-// Reader helpers
+// Heap copy of an opened artifact
 // ---------------------------------------------------------------------------
 
-std::string KindStr(SectionKind kind) {
-  return std::to_string(static_cast<uint32_t>(kind));
+// The out-direction and labels; CsrGraph::AdoptCsr derives the in-direction.
+void CopyCsr(const MmapCsrGraph& mapped, CsrGraph* out) {
+  const size_t n = mapped.num_nodes();
+  std::vector<uint64_t> offsets(n + 1, 0);
+  std::vector<Label> labels(n);
+  for (NodeId u = 0; u < n; ++u) {
+    offsets[u + 1] = offsets[u] + mapped.OutDegree(u);
+    labels[u] = mapped.label(u);
+  }
+  const std::span<const NodeId> targets = mapped.OutEdgeTargets();
+  out->AdoptCsr(std::move(offsets), {targets.begin(), targets.end()},
+                std::move(labels));
 }
 
-Status Require(const ParsedArtifact& parsed, SectionKind kind,
-               const SectionEntry** out) {
-  *out = parsed.Find(kind);
-  if (*out == nullptr) {
-    return Status::CorruptData("missing section kind " + KindStr(kind));
-  }
-  return Status::Ok();
-}
-
-Result<OffsetsView> MakeOffsetsView(const ParsedArtifact& parsed,
-                                    const SectionEntry& entry) {
-  return OffsetsView::Make(static_cast<SectionEncoding>(entry.encoding),
-                           parsed.SectionBytes(entry), entry.element_count);
-}
-
-// Decodes a u32 section (raw or const) to a heap vector; the caller has
-// already checked the expected element count.
-Status DecodeU32Vector(const ParsedArtifact& parsed, const SectionEntry& entry,
-                       std::vector<uint32_t>* out) {
-  Result<U32View> view = U32View::Make(
-      static_cast<SectionEncoding>(entry.encoding), parsed.SectionBytes(entry),
-      entry.element_count);
-  if (!view.ok()) return view.status();
-  if (view.value().is_const()) {
-    out->assign(view.value().size(), view.value().constant());
-  } else {
-    const std::span<const uint32_t> raw = view.value().raw_span();
-    out->assign(raw.begin(), raw.end());
-  }
-  return Status::Ok();
-}
-
-// One decoded CSR direction.
-struct DecodedCsr {
-  std::vector<uint64_t> offsets;
-  std::vector<NodeId> targets;
-  size_t n = 0;
-};
-
-Status DecodeCsr(const ParsedArtifact& parsed, SectionKind offsets_kind,
-                 SectionKind targets_kind, bool validate, DecodedCsr* out) {
-  const SectionEntry* off_entry = nullptr;
-  const SectionEntry* tgt_entry = nullptr;
-  QPGC_RETURN_IF_ERROR(Require(parsed, offsets_kind, &off_entry));
-  QPGC_RETURN_IF_ERROR(Require(parsed, targets_kind, &tgt_entry));
-  Result<OffsetsView> view = MakeOffsetsView(parsed, *off_entry);
-  if (!view.ok()) return view.status();
-  const OffsetsView& offsets = view.value();
-  if (offsets.size() == 0) {
-    return Status::CorruptData("empty offsets section kind " +
-                               KindStr(offsets_kind));
-  }
-  out->n = offsets.size() - 1;
-  // The O(1) endpoint invariants are always enforced — CsrGraph::AdoptCsr
-  // asserts them, and an assert is not an acceptable response to a file.
-  if (offsets[0] != 0 || offsets.back() != tgt_entry->element_count) {
-    return Status::CorruptData("offsets endpoints disagree with targets, kind " +
-                               KindStr(offsets_kind));
-  }
-  if (static_cast<SectionEncoding>(tgt_entry->encoding) ==
-      SectionEncoding::kVarint) {
-    QPGC_RETURN_IF_ERROR(DecodeVarintTargets(
-        parsed.SectionBytes(*tgt_entry), offsets, tgt_entry->element_count,
-        static_cast<NodeId>(out->n), &out->targets));
-  } else {
-    QPGC_RETURN_IF_ERROR(DecodeU32Vector(parsed, *tgt_entry, &out->targets));
-  }
-  if (validate) {
-    QPGC_RETURN_IF_ERROR(ValidateCsr(offsets, out->targets, out->n));
-  }
-  out->offsets.resize(offsets.size());
-  for (size_t i = 0; i < offsets.size(); ++i) out->offsets[i] = offsets[i];
-  return Status::Ok();
-}
-
-// Decodes a u32 section whose element count must equal `expected`.
-Status DecodeExpected(const ParsedArtifact& parsed, SectionKind kind,
-                      uint64_t expected, std::vector<uint32_t>* out) {
-  const SectionEntry* entry = nullptr;
-  QPGC_RETURN_IF_ERROR(Require(parsed, kind, &entry));
-  if (entry->element_count != expected) {
-    return Status::CorruptData("section kind " + KindStr(kind) +
-                               " has unexpected element count");
-  }
-  return DecodeU32Vector(parsed, *entry, out);
-}
-
-Status ValidateNodeMap(const std::vector<NodeId>& map, size_t num_blocks,
-                       bool allow_invalid, const char* what) {
-  for (const NodeId b : map) {
-    if (b >= num_blocks && !(allow_invalid && b == kInvalidNode)) {
-      return Status::CorruptData(std::string(what) + " out of range");
-    }
-  }
-  return Status::Ok();
-}
-
-Status ValidateAscending(const std::vector<NodeId>& nodes, size_t num_nodes,
-                         const char* what) {
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i] >= num_nodes || (i > 0 && nodes[i] <= nodes[i - 1])) {
-      return Status::CorruptData(std::string(what) +
-                                 " not strictly ascending in range");
-    }
-  }
-  return Status::Ok();
-}
-
-// Everything LoadShardSet needs from one file beyond the snapshot itself.
-struct ArtifactData {
-  LoadedSnapshot loaded;
-  bool has_partition = false;
-  uint64_t partition_count = 0;
-  uint64_t partition_checksum = 0;
-  std::vector<uint32_t> shard_of;  // decoded only when requested
-};
-
-Status LoadArtifact(const std::string& path, const LoadOptions& options,
-                    bool want_partition, ArtifactData* out) {
-  Result<MmapFile> file = MmapFile::Open(path);
-  if (!file.ok()) return file.status();
-  Result<ParsedArtifact> parse =
-      ParseArtifact(file.value().bytes(), options.verify_checksums);
-  if (!parse.ok()) {
-    return Status(parse.status().code(),
-                  path + ": " + parse.status().message());
-  }
-  const ParsedArtifact& parsed = parse.value();
-  const FileHeader& header = parsed.header;
-  if (header.num_shards == 0 || header.shard >= header.num_shards) {
-    return Status::CorruptData(path + ": invalid shard stamp");
-  }
-  const uint64_t original_n = header.original_num_nodes;
-  const bool validate = options.validate_structure;
-
-  // --- Reach side ---------------------------------------------------------
+LoadedSnapshot CopyToHeap(const MmapSnapshot& mapped) {
   auto reach = std::make_shared<FrozenReachSide>();
-  {
-    DecodedCsr csr;
-    QPGC_RETURN_IF_ERROR(DecodeCsr(parsed, SectionKind::kReachOutOffsets,
-                                   SectionKind::kReachOutTargets, validate,
-                                   &csr));
-    std::vector<Label> labels;
-    QPGC_RETURN_IF_ERROR(
-        DecodeExpected(parsed, SectionKind::kReachLabels, csr.n, &labels));
-    QPGC_RETURN_IF_ERROR(DecodeExpected(parsed, SectionKind::kReachNodeMap,
-                                        original_n, &reach->node_map));
-    if (validate) {
-      QPGC_RETURN_IF_ERROR(ValidateNodeMap(reach->node_map, csr.n,
-                                           /*allow_invalid=*/false,
-                                           "reach node map"));
-    }
-    // AdoptCsr derives the in-direction; the stored in-sections exist for
-    // the zero-copy mmap reader and are not decoded here.
-    reach->gr.AdoptCsr(std::move(csr.offsets), std::move(csr.targets),
-                       std::move(labels));
-  }
+  CopyCsr(mapped.reach_gr(), &reach->gr);
+  reach->node_map.assign(mapped.reach_map().begin(), mapped.reach_map().end());
 
-  // --- Pattern side -------------------------------------------------------
   auto pattern = std::make_shared<FrozenPatternSide>();
-  size_t pattern_blocks = 0;
-  {
-    DecodedCsr csr;
-    QPGC_RETURN_IF_ERROR(DecodeCsr(parsed, SectionKind::kPatternOutOffsets,
-                                   SectionKind::kPatternOutTargets, validate,
-                                   &csr));
-    pattern_blocks = csr.n;
-    std::vector<Label> labels;
-    QPGC_RETURN_IF_ERROR(
-        DecodeExpected(parsed, SectionKind::kPatternLabels, csr.n, &labels));
-    QPGC_RETURN_IF_ERROR(DecodeExpected(parsed, SectionKind::kPatternNodeMap,
-                                        original_n, &pattern->node_map));
-    if (validate) {
-      QPGC_RETURN_IF_ERROR(ValidateNodeMap(pattern->node_map, csr.n,
-                                           /*allow_invalid=*/true,
-                                           "pattern node map"));
-    }
-    pattern->gr.AdoptCsr(std::move(csr.offsets), std::move(csr.targets),
-                         std::move(labels));
+  CopyCsr(mapped.pattern_gr(), &pattern->gr);
+  pattern->node_map.assign(mapped.pattern_map().begin(),
+                           mapped.pattern_map().end());
+  const size_t blocks = mapped.pattern_gr().num_nodes();
+  pattern->member_offsets.assign(blocks + 1, 0);
+  for (NodeId c = 0; c < blocks; ++c) {
+    pattern->member_offsets[c + 1] =
+        pattern->member_offsets[c] + mapped.pattern_block_members(c).size();
   }
-  {
-    const SectionEntry* mo_entry = nullptr;
-    const SectionEntry* mf_entry = nullptr;
-    QPGC_RETURN_IF_ERROR(
-        Require(parsed, SectionKind::kMemberOffsets, &mo_entry));
-    QPGC_RETURN_IF_ERROR(Require(parsed, SectionKind::kMemberFlat, &mf_entry));
-    if (mo_entry->element_count != pattern_blocks + 1) {
-      return Status::CorruptData(path + ": member offsets count mismatch");
-    }
-    Result<OffsetsView> mo_view = MakeOffsetsView(parsed, *mo_entry);
-    if (!mo_view.ok()) return mo_view.status();
-    if (mo_view.value()[0] != 0 ||
-        mo_view.value().back() != mf_entry->element_count) {
-      return Status::CorruptData(path + ": member index endpoints mismatch");
-    }
-    QPGC_RETURN_IF_ERROR(
-        DecodeU32Vector(parsed, *mf_entry, &pattern->member_flat));
-    if (validate) {
-      // Member runs are disjoint ascending node-id runs — the same
-      // structural shape as CSR adjacency over the original node universe.
-      QPGC_RETURN_IF_ERROR(
-          ValidateCsr(mo_view.value(), pattern->member_flat, original_n));
-    }
-    pattern->member_offsets.resize(mo_view.value().size());
-    for (size_t i = 0; i < mo_view.value().size(); ++i) {
-      pattern->member_offsets[i] = mo_view.value()[i];
-    }
-  }
-  {
-    std::vector<uint32_t> cross_flat;
-    const SectionEntry* ce_entry = nullptr;
-    QPGC_RETURN_IF_ERROR(Require(parsed, SectionKind::kCrossEdges, &ce_entry));
-    if (ce_entry->element_count % 2 != 0) {
-      return Status::CorruptData(path + ": odd cross-edge section");
-    }
-    QPGC_RETURN_IF_ERROR(DecodeU32Vector(parsed, *ce_entry, &cross_flat));
-    pattern->cross_edges.resize(cross_flat.size() / 2);
-    for (size_t i = 0; i < pattern->cross_edges.size(); ++i) {
-      const NodeId block = cross_flat[2 * i];
-      const NodeId ghost = cross_flat[2 * i + 1];
-      if (validate && (block >= pattern_blocks || ghost >= original_n)) {
-        return Status::CorruptData(path + ": cross edge out of range");
-      }
-      pattern->cross_edges[i] = {block, ghost};
-    }
+  pattern->member_flat.assign(mapped.pattern_members().begin(),
+                              mapped.pattern_members().end());
+  const std::span<const NodeId> cross = mapped.cross_edges();
+  pattern->cross_edges.resize(cross.size() / 2);
+  for (size_t i = 0; i < pattern->cross_edges.size(); ++i) {
+    pattern->cross_edges[i] = {cross[2 * i], cross[2 * i + 1]};
   }
 
-  // --- Boundary tables (sharded artifacts) --------------------------------
   std::shared_ptr<const std::vector<NodeId>> exits;
   std::shared_ptr<const FrozenBoundarySummary> summary;
-  if (const SectionEntry* entry = parsed.Find(SectionKind::kBoundaryExits)) {
-    auto exits_vec = std::make_shared<std::vector<NodeId>>();
-    QPGC_RETURN_IF_ERROR(DecodeU32Vector(parsed, *entry, exits_vec.get()));
-    QPGC_RETURN_IF_ERROR(
-        ValidateAscending(*exits_vec, original_n, "boundary exits"));
-    exits = std::move(exits_vec);
+  if (mapped.has_boundary_exits()) {
+    exits = std::make_shared<const std::vector<NodeId>>(
+        mapped.boundary_exits().begin(), mapped.boundary_exits().end());
   }
-  if (const SectionEntry* entry = parsed.Find(SectionKind::kBoundaryEntries)) {
-    auto entries_vec = std::make_shared<std::vector<NodeId>>();
-    QPGC_RETURN_IF_ERROR(DecodeU32Vector(parsed, *entry, entries_vec.get()));
-    QPGC_RETURN_IF_ERROR(
-        ValidateAscending(*entries_vec, original_n, "boundary entries"));
-    if (exits == nullptr) {
-      return Status::CorruptData(path + ": boundary entries without exits");
-    }
+  if (mapped.has_boundary_entries()) {
     // The summary is deterministic in (reach side, exits, entries) — never
     // stored, always rebuilt, so it cannot drift from the graph it
-    // summarizes.
+    // summarizes. Open checked both tables ascending and in range.
     auto built = std::make_shared<FrozenBoundarySummary>();
     built->Build(reach->gr, reach->node_map, exits,
-                 std::shared_ptr<const std::vector<NodeId>>(entries_vec));
+                 std::make_shared<const std::vector<NodeId>>(
+                     mapped.boundary_entries().begin(),
+                     mapped.boundary_entries().end()));
     summary = std::move(built);
   }
 
-  // --- Partition ----------------------------------------------------------
-  if (const SectionEntry* entry =
-          parsed.Find(SectionKind::kPartitionShardOf)) {
-    out->has_partition = true;
-    out->partition_count = entry->element_count;
-    out->partition_checksum = entry->checksum;
-    if (want_partition) {
-      if (entry->element_count != original_n) {
-        return Status::CorruptData(path + ": partition count mismatch");
-      }
-      QPGC_RETURN_IF_ERROR(DecodeU32Vector(parsed, *entry, &out->shard_of));
-      for (const uint32_t s : out->shard_of) {
-        if (s >= header.num_shards) {
-          return Status::CorruptData(path + ": partition shard out of range");
-        }
-      }
-    }
-  }
-
   auto snap = std::make_shared<ServingSnapshot>();
-  snap->Adopt(header.snapshot_version, std::move(reach), std::move(pattern),
+  snap->Adopt(mapped.version(), std::move(reach), std::move(pattern),
               std::move(exits), std::move(summary));
-  out->loaded.snapshot = std::move(snap);
-  out->loaded.shard = header.shard;
-  out->loaded.num_shards = header.num_shards;
-  return Status::Ok();
+  return {std::move(snap), mapped.shard(), mapped.num_shards()};
 }
 
 }  // namespace
@@ -585,11 +355,9 @@ Status SaveSnapshot(const ServingSnapshot& snap, const std::string& path,
 
 Result<LoadedSnapshot> LoadServingSnapshot(const std::string& path,
                                            const LoadOptions& options) {
-  ArtifactData data;
-  const Status status =
-      LoadArtifact(path, options, /*want_partition=*/false, &data);
-  if (!status.ok()) return status;
-  return std::move(data.loaded);
+  Result<MmapSnapshot> mapped = MmapSnapshot::Open(path, options);
+  if (!mapped.ok()) return mapped.status();
+  return CopyToHeap(mapped.value());
 }
 
 Result<LoadedShardSet> LoadShardSet(const std::vector<std::string>& paths,
@@ -600,16 +368,14 @@ Result<LoadedShardSet> LoadShardSet(const std::vector<std::string>& paths,
   LoadedShardSet set;
   uint32_t num_shards = 0;
   size_t original_n = 0;
-  uint64_t partition_checksum = 0;
   std::vector<uint32_t> shard_of;
   for (size_t i = 0; i < paths.size(); ++i) {
-    ArtifactData data;
-    const Status status =
-        LoadArtifact(paths[i], options, /*want_partition=*/i == 0, &data);
-    if (!status.ok()) return status;
+    Result<MmapSnapshot> mapped = MmapSnapshot::Open(paths[i], options);
+    if (!mapped.ok()) return mapped.status();
+    const MmapSnapshot& file = mapped.value();
     if (i == 0) {
-      num_shards = data.loaded.num_shards;
-      original_n = data.loaded.snapshot->original_num_nodes();
+      num_shards = file.num_shards();
+      original_n = file.original_num_nodes();
       if (paths.size() != num_shards) {
         return Status::InvalidArgument(
             "artifact set declares " + std::to_string(num_shards) +
@@ -618,32 +384,29 @@ Result<LoadedShardSet> LoadShardSet(const std::vector<std::string>& paths,
       }
       set.snapshots.assign(num_shards, nullptr);
       if (num_shards > 1) {
-        if (!data.has_partition) {
+        // Open checked a present partition's length and shard ids.
+        if (file.partition().size() != original_n) {
           return Status::CorruptData(paths[i] + ": missing partition section");
         }
-        shard_of = std::move(data.shard_of);
-        partition_checksum = data.partition_checksum;
+        shard_of.assign(file.partition().begin(), file.partition().end());
       }
     } else {
-      if (data.loaded.num_shards != num_shards ||
-          data.loaded.snapshot->original_num_nodes() != original_n) {
+      if (file.num_shards() != num_shards ||
+          file.original_num_nodes() != original_n) {
         return Status::InvalidArgument(paths[i] +
                                        ": inconsistent with the shard set");
       }
-      // The partition sections must be byte-identical across the set; the
-      // table checksums compare them without a second O(|V|) decode.
-      if (!data.has_partition || data.partition_count != original_n ||
-          data.partition_checksum != partition_checksum) {
+      if (!std::ranges::equal(file.partition(), shard_of)) {
         return Status::InvalidArgument(paths[i] +
                                        ": partition disagrees with the set");
       }
     }
-    const uint32_t shard = data.loaded.shard;
+    const uint32_t shard = file.shard();
     if (set.snapshots[shard] != nullptr) {
       return Status::InvalidArgument(paths[i] + ": duplicate shard " +
                                      std::to_string(shard));
     }
-    set.snapshots[shard] = std::move(data.loaded.snapshot);
+    set.snapshots[shard] = CopyToHeap(file).snapshot;
   }
   auto partition = std::make_shared<ShardPartition>();
   partition->num_shards = num_shards;
@@ -764,7 +527,5 @@ Result<ReconstructedArtifacts> ReconstructArtifacts(
   }
   return out;
 }
-
-#undef QPGC_RETURN_IF_ERROR
 
 }  // namespace qpgc::storage

@@ -5,17 +5,15 @@
 // The writer serializes a frozen ServingSnapshot — both quotient CSRs, node
 // maps, member index, boundary tables, and (sharded saves) the shard
 // partition — choosing the tightest admissible offset encoding per section
-// (storage/codec.h) unless pinned to raw64. Three readers share one parse
-// layer (ParseArtifact):
+// (storage/codec.h) unless pinned to raw64. There is one reader,
+// MmapSnapshot::Open (storage/mmap_snapshot.h): it parses (ParseArtifact),
+// checks and wires every section kind. The heap loaders are copies of it:
 //
-//   * LoadServingSnapshot — full deserialization back into heap-owned
-//     frozen sides; the boundary summary is NOT stored, it is deterministic
-//     in the reach side + boundary sets and rebuilt here
-//     (serve/boundary_summary.h).
+//   * LoadServingSnapshot — Open, then copy into heap-owned frozen sides;
+//     the boundary summary is NOT stored, it is deterministic in the reach
+//     side + boundary sets and rebuilt here (serve/boundary_summary.h).
 //   * LoadShardSet — K per-shard artifacts into the router-ready pinned
 //     form (each file is self-describing: it carries the partition).
-//   * storage/mmap_snapshot.h — serves queries off the mapping, no
-//     deserialize.
 //
 // Failure policy: every reader returns Status on malformed input — bad
 // magic, foreign version, truncation, checksum mismatch, structurally
@@ -73,19 +71,20 @@ Status SaveSnapshot(const ServingSnapshot& snap, const std::string& path,
                     const SaveOptions& options = {});
 
 struct LoadOptions {
-  /// Verify every section's payload checksum. Header and section-table
-  /// checksums are always verified regardless.
-  bool verify_checksums = true;
-  /// Validate structural invariants (monotone offsets, in-range strictly
-  /// ascending adjacency runs, in-range maps) before handing sections to
-  /// core code. Turning this off is only safe for trusted artifacts: core
-  /// code QPGC_CHECK-aborts on malformed input instead of returning.
-  bool validate_structure = true;
+  /// Verify the artifact before serving it: every section's payload
+  /// checksum, plus the structural invariants (monotone offsets, in-range
+  /// strictly ascending adjacency runs, each quotient's in-direction the
+  /// exact transpose of its out-direction, in-range maps and cross edges).
+  /// The header and section-table checksums, the file length and the O(1)
+  /// section shapes are checked regardless. Turning this off is only safe
+  /// for trusted artifacts: core code QPGC_CHECK-aborts on malformed input
+  /// instead of returning.
+  bool verify = true;
 };
 
 /// A parsed artifact: validated header plus section table, views into the
-/// caller's bytes (which must outlive the ParsedArtifact). Shared by the
-/// deserialize loader and the mmap reader.
+/// caller's bytes (which must outlive the ParsedArtifact). The first step
+/// of MmapSnapshot::Open; tools list the section table from it.
 struct QPGC_GSL_POINTER ParsedArtifact {
   FileHeader header{};
   std::span<const SectionEntry> table;
@@ -114,15 +113,16 @@ Result<ParsedArtifact> ParseArtifact(std::span<const std::byte> bytes,
 Status ValidateCsr(const OffsetsView& offsets, std::span<const NodeId> targets,
                    size_t target_universe);
 
-/// A fully deserialized snapshot plus its header identity.
+/// A heap-loaded snapshot plus its header identity.
 struct LoadedSnapshot {
   std::shared_ptr<const ServingSnapshot> snapshot;
   uint32_t shard = 0;
   uint32_t num_shards = 1;
 };
 
-/// Deserializes `path` into heap-owned frozen sides; sharded artifacts get
-/// their boundary summary rebuilt (deterministic; not stored).
+/// Opens `path` (MmapSnapshot::Open) and copies it into heap-owned frozen
+/// sides; sharded artifacts get their boundary summary rebuilt
+/// (deterministic; not stored).
 Result<LoadedSnapshot> LoadServingSnapshot(const std::string& path,
                                            const LoadOptions& options = {});
 

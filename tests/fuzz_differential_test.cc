@@ -8,7 +8,7 @@
 //   * 2-hop on Gr                 vs  BFS on G;
 //   * incRCM / incPCM             vs  batch recompression;
 //   * IncBMatch                   vs  fresh Match;
-//   * serialization               vs  the in-memory artifact.
+//   * save / load / reconstruct   vs  the in-memory artifact.
 // Seeds sweep generator families, label alphabets and update mixes. This is
 // the suite that caught the mutual-redundancy and expansion bugs during
 // development; it runs moderately sized inputs so failures shrink easily.
@@ -17,7 +17,6 @@
 
 #include <cstdio>
 
-#include "core/serialization.h"
 #include "gen/random_models.h"
 #include "gen/uniform.h"
 #include "gen/update_gen.h"
@@ -27,6 +26,8 @@
 #include "pattern/inc_match.h"
 #include "pattern/pattern_gen.h"
 #include "reach/queries.h"
+#include "serve/snapshot.h"
+#include "storage/snapshot_io.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -135,17 +136,23 @@ TEST_P(FuzzDifferential, EverySubsystemAgreesAcrossEvolution) {
         << "seed=" << seed << " step=" << step;
   }
 
-  // Artifacts survive storage at the final state.
-  const std::string dir = ::testing::TempDir();
-  const std::string rpath = dir + "/fuzz_rc_" + std::to_string(seed) + ".txt";
-  const std::string ppath = dir + "/fuzz_pc_" + std::to_string(seed) + ".txt";
-  ASSERT_TRUE(SaveReachCompression(rc, rpath).ok());
-  ASSERT_TRUE(SavePatternCompression(pc, ppath).ok());
-  ExpectEquivalentReachCompression(rc, LoadReachCompression(rpath).value());
-  ExpectEquivalentPatternCompression(pc,
-                                     LoadPatternCompression(ppath).value());
-  std::remove(rpath.c_str());
-  std::remove(ppath.c_str());
+  // The incrementally maintained artifacts survive storage at the final
+  // state: frozen, saved, loaded and reconstructed, they equal the
+  // in-memory pair.
+  ServingSnapshot frozen;
+  frozen.Freeze(1, rc, pc);
+  const std::string path =
+      ::testing::TempDir() + "fuzz_" + std::to_string(seed) + ".snap";
+  ASSERT_TRUE(storage::SaveSnapshot(frozen, path).ok());
+  const Result<storage::LoadedSnapshot> loaded =
+      storage::LoadServingSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  const Result<storage::ReconstructedArtifacts> rebuilt =
+      storage::ReconstructArtifacts(g, *loaded.value().snapshot);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().message();
+  ExpectEquivalentReachCompression(rc, rebuilt.value().rc);
+  ExpectEquivalentPatternCompression(pc, rebuilt.value().pc);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferential,

@@ -112,7 +112,7 @@ TEST_P(ViewDifferential, MaxBisimulationEnginesAgreeAcrossViews) {
     const Partition on_graph = MaxBisimulation(g_, engine);
     const Partition on_csr = MaxBisimulation(csr_, engine);
     EXPECT_TRUE(SamePartition(on_graph, on_csr))
-        << name_ << " engine=" << BisimEngineName(engine);
+        << name_ << " engine=" << static_cast<int>(engine);
   }
 }
 
@@ -132,7 +132,7 @@ TEST_P(ViewDifferential, InEdgeDrivenBackwardMatchesCopyingOracle) {
          {BisimEngine::kPaigeTarjan, BisimEngine::kSignature}) {
       EXPECT_TRUE(SamePartition(KBisimulationBackward(g_, k, engine),
                                 KBisimulationBackwardCopying(g_, k, engine)))
-          << name_ << " k=" << k << " engine=" << BisimEngineName(engine);
+          << name_ << " k=" << k << " engine=" << static_cast<int>(engine);
     }
   }
 }

@@ -174,16 +174,6 @@ TEST(BisimEngineTest, DispatchAndNames) {
       SamePartition(MaxBisimulation(g, BisimEngine::kRanked), oracle));
   EXPECT_TRUE(
       SamePartition(MaxBisimulation(g, BisimEngine::kSignature), oracle));
-
-  BisimEngine e = BisimEngine::kSignature;
-  EXPECT_TRUE(ParseBisimEngine("pt", &e));
-  EXPECT_EQ(e, BisimEngine::kPaigeTarjan);
-  EXPECT_TRUE(ParseBisimEngine("ranked", &e));
-  EXPECT_EQ(e, BisimEngine::kRanked);
-  EXPECT_TRUE(ParseBisimEngine("signature", &e));
-  EXPECT_EQ(e, BisimEngine::kSignature);
-  EXPECT_FALSE(ParseBisimEngine("hopcroft", &e));
-  EXPECT_STREQ(BisimEngineName(BisimEngine::kPaigeTarjan), "paige-tarjan");
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // Corruption robustness: a snapshot artifact of unknown provenance must
 // never crash the reader — every mutation of the byte stream has to come
 // back as a clean Status from LoadServingSnapshot / MmapSnapshot::Open
-// under full verification (LoadOptions{true, true}; the trusted fast path
+// under full verification (LoadOptions{/*verify=*/true}; the trusted fast path
 // deliberately skips payload checks, see storage/mmap_snapshot.h). The
 // harness is deterministic: truncation at every section boundary plus a
 // fixed ladder of interior lengths, one bit flipped in the header, the
@@ -34,8 +34,7 @@
 namespace qpgc::storage {
 namespace {
 
-constexpr LoadOptions kVerifyAll{/*verify_checksums=*/true,
-                                 /*validate_structure=*/true};
+constexpr LoadOptions kVerifyAll{/*verify=*/true};
 
 // Per-process scratch path: ctest runs each test case as its own process in
 // parallel, and two processes mutating one shared file race (one truncates
@@ -45,8 +44,8 @@ std::string MutantPath() {
          std::to_string(static_cast<long>(::getpid())) + ".snap";
 }
 
-std::vector<std::byte> SaveToBytes(const SaveOptions& options = {}) {
-  Graph g = GenerateUniform(60, 200, 3, 5);
+std::vector<std::byte> SaveToBytes(const SaveOptions& options = {},
+                                   Graph g = GenerateUniform(60, 200, 3, 5)) {
   SnapshotManager mgr(std::move(g));
   const auto live = mgr.Acquire();
   const std::string path = MutantPath();
@@ -215,6 +214,57 @@ TEST(StorageCorruptionTest, RejectsHeaderFieldLies) {
     std::memcpy(mutant.data(), &h, sizeof(FileHeader));
     RestampHeaderChecksum(&mutant);
     ExpectRejected(mutant, lie.what);
+  }
+}
+
+// Each quotient's stored in-direction must be the exact transpose of its
+// out-direction. Bumping one in-source keeps every run strictly ascending
+// and in range, so only that cross-check sees it (the checksums are
+// restamped so the mutant reaches it). Unchecked, the in-edge searches
+// (BiBFS, Match's backward sweep) answer from a different graph than the
+// out-edge ones.
+TEST(StorageCorruptionTest, RejectsInDirectionThatIsNotTheTranspose) {
+  const std::vector<std::byte> good =
+      SaveToBytes({}, GenerateUniform(400, 900, 3, 5));
+  const FileHeader& h = HeaderOf(good);
+  std::vector<SectionEntry> table(h.section_count);
+  std::memcpy(table.data(), good.data() + sizeof(FileHeader),
+              table.size() * sizeof(SectionEntry));
+  for (const SectionKind kind :
+       {SectionKind::kReachInTargets, SectionKind::kPatternInTargets}) {
+    SCOPED_TRACE("section kind " + std::to_string(static_cast<int>(kind)));
+    std::vector<SectionEntry> mutant_table = table;
+    SectionEntry* entry = nullptr;
+    for (SectionEntry& e : mutant_table) {
+      if (e.kind == static_cast<uint32_t>(kind)) entry = &e;
+    }
+    ASSERT_NE(entry, nullptr);
+    ASSERT_EQ(entry->encoding, static_cast<uint32_t>(SectionEncoding::kRaw32));
+    std::vector<uint32_t> sources(entry->element_count);
+    std::memcpy(sources.data(), good.data() + entry->offset,
+                sources.size() * sizeof(uint32_t));
+    // The first in-source whose successor value is free to take.
+    size_t at = 0;
+    while (at + 1 < sources.size() && sources[at] + 1 >= sources[at + 1]) {
+      ++at;
+    }
+    ASSERT_LT(at + 1, sources.size()) << "no in-source to bump";
+    ++sources[at];
+
+    std::vector<std::byte> mutant = good;
+    std::memcpy(mutant.data() + entry->offset, sources.data(),
+                sources.size() * sizeof(uint32_t));
+    entry->checksum =
+        Fnv1a64({mutant.data() + entry->offset, entry->stored_bytes});
+    const size_t table_bytes = mutant_table.size() * sizeof(SectionEntry);
+    std::memcpy(mutant.data() + sizeof(FileHeader), mutant_table.data(),
+                table_bytes);
+    FileHeader mutant_header = h;
+    mutant_header.table_checksum =
+        Fnv1a64({mutant.data() + sizeof(FileHeader), table_bytes});
+    std::memcpy(mutant.data(), &mutant_header, sizeof(FileHeader));
+    RestampHeaderChecksum(&mutant);
+    ExpectRejected(mutant, "in-direction is not the transpose");
   }
 }
 

@@ -36,8 +36,7 @@
 namespace qpgc::storage {
 namespace {
 
-constexpr LoadOptions kVerifyAll{/*verify_checksums=*/true,
-                                 /*validate_structure=*/true};
+constexpr LoadOptions kVerifyAll{/*verify=*/true};
 
 std::string GoldenPath() {
   return std::string(QPGC_TEST_DATA_DIR) + "/golden_v1.snap";

@@ -144,8 +144,7 @@ TEST(StorageRoundTripTest, LoadedAndMmapAnswersEqualLiveOnAllFamilies) {
 
     // Mmap, fully verified + validated.
     const Result<MmapSnapshot> checked =
-        MmapSnapshot::Open(path, LoadOptions{/*verify_checksums=*/true,
-                                             /*validate_structure=*/true});
+        MmapSnapshot::Open(path, LoadOptions{/*verify=*/true});
     ASSERT_TRUE(checked.ok()) << name << ": " << checked.status().message();
     ExpectAnswersMatch(checked.value(), *live, oracle, 73,
                        (std::string(name) + "/mmap-verified").c_str());
@@ -177,8 +176,7 @@ TEST(StorageRoundTripTest, UnshardedSaveWithEmptySectionsReloads) {
     ExpectAnswersMatch(*loaded.value().snapshot, *live, oracle, 74,
                        (std::string(name) + "/deserialized").c_str());
     const Result<MmapSnapshot> mapped = MmapSnapshot::Open(
-        path, LoadOptions{/*verify_checksums=*/true,
-                          /*validate_structure=*/true});
+        path, LoadOptions{/*verify=*/true});
     ASSERT_TRUE(mapped.ok()) << name << ": " << mapped.status().message();
     ExpectAnswersMatch(mapped.value(), *live, oracle, 75,
                        (std::string(name) + "/mmap").c_str());
@@ -205,8 +203,7 @@ TEST(StorageRoundTripTest, EncodingVariantsAgree) {
     ASSERT_TRUE(SaveSnapshot(*live, pv, varint).ok()) << name;
 
     const Result<MmapSnapshot> m64 = MmapSnapshot::Open(
-        p64, LoadOptions{/*verify_checksums=*/true,
-                         /*validate_structure=*/true});
+        p64, LoadOptions{/*verify=*/true});
     ASSERT_TRUE(m64.ok()) << name << ": " << m64.status().message();
     // Raw layouts serve fully in place: no decode heap.
     EXPECT_EQ(m64.value().DecodedHeapBytes(), 0u) << name;
@@ -214,8 +211,7 @@ TEST(StorageRoundTripTest, EncodingVariantsAgree) {
                        (std::string(name) + "/raw64").c_str());
 
     const Result<MmapSnapshot> mv = MmapSnapshot::Open(
-        pv, LoadOptions{/*verify_checksums=*/true,
-                        /*validate_structure=*/true});
+        pv, LoadOptions{/*verify=*/true});
     ASSERT_TRUE(mv.ok()) << name << ": " << mv.status().message();
     // Varint adjacency cannot be served in place; it decodes at Open.
     if (oracle.num_edges() > 0) {

@@ -1,22 +1,22 @@
 // Copyright 2026 The QPGC Authors.
 //
 // qpgc_tool — command-line front end for the library. Compress SNAP-style
-// edge lists offline, inspect artifacts, and serve reachability queries
-// from a compressed artifact without ever loading the original graph.
+// edge lists offline into snapshot artifacts (storage/format.h), inspect
+// them, and serve reachability queries from them without ever loading the
+// original graph.
 //
 //   qpgc_tool stats     <edges> [labels]          graph statistics
-//   qpgc_tool compress  <edges> <artifact>        reachability compression
-//   qpgc_tool compressb <edges> <labels> <out>    pattern compression
-//   qpgc_tool query     <artifact> <u> <v>        QR(u, v) from the artifact
-//   qpgc_tool info      <artifact>                artifact summary
-//   qpgc_tool save      <edges> [labels] <out>    compress + write a binary
-//                       snapshot artifact (storage/format.h). Flags:
-//                       --varint (varint adjacency for cold shards),
-//                       --index=auto|raw64 (CSR index encoding).
+//   qpgc_tool save      <edges> [labels] <out>    compress + write a snapshot
+//                       artifact. Flags: --varint (varint adjacency for cold
+//                       shards), --index=auto|raw64 (CSR index encoding),
+//                       --shards=K and --partitioner= (below).
 //   qpgc_tool load      <snapshot>                open a snapshot artifact
 //                       and print its layout; times the mmap open against
-//                       the full deserialize (--mmap serves a probe query
+//                       the verified heap load (--mmap serves a probe query
 //                       off the mapping).
+//   qpgc_tool query     <snapshot>... <u> <v>     QR(u, v) from one artifact
+//                       (verified mmap open) or from every file of a shard
+//                       set (LoadShardSet + the router).
 //   qpgc_tool dataset   <name> <edges-out>        emit a catalog stand-in
 //   qpgc_tool serve-sim <edges> [labels]          serving simulation: reader
 //                       threads query versioned snapshots while a writer
@@ -37,23 +37,17 @@
 // rate (exact=full tiering per docs/CACHING.md; exact disables subsumption
 // and the negative match cache).
 //
-// `compressb` accepts --bisim-engine=paige-tarjan|ranked|signature to pick
-// the maximum-bisimulation engine (default paige-tarjan).
-//
-// `compress` and `serve-sim` accept --shards=K (default 1) and
+// `save` and `serve-sim` accept --shards=K (default 1) and
 // --partitioner=hash|contiguous|structure (default hash; docs/SHARDING.md
-// discusses the trade-offs): `compress` partitions the graph, runs the
-// whole batch pipeline zero-copy over each shard's ShardView
-// (graph/shard_view.h), writes one artifact per shard (<out>.shard<i>) and
-// prints the per-shard compression and boundary table; `serve-sim` serves
+// discusses the trade-offs): `save` compresses each shard through a
+// ShardedSnapshotManager and writes one self-describing artifact per shard
+// (<out>.shard<i>, each carrying the partition); `serve-sim` serves
 // through a ShardedSnapshotManager behind the routing ShardedQueryService
 // (serve/sharded_manager.h, serve/router.h), with the writer stream routed
 // per shard.
 //
-// Both compression commands freeze an immutable CsrGraph snapshot of the
-// loaded graph and run the whole batch pipeline on the flat layout (see
-// graph/graph_view.h); `stats` reports the snapshot's memory next to the
-// dynamic representation's.
+// `stats` reports the frozen CSR snapshot's memory next to the dynamic
+// representation's.
 
 #include <algorithm>
 #include <atomic>
@@ -68,17 +62,12 @@
 #include <thread>
 #include <vector>
 
-#include "bisim/engine.h"
-#include "core/pattern_scheme.h"
-#include "core/serialization.h"
 #include "gen/dataset_catalog.h"
 #include "gen/update_gen.h"
 #include "graph/csr.h"
 #include "graph/io.h"
 #include "graph/stats.h"
 #include "graph/shard_view.h"
-#include "reach/compress_r.h"
-#include "reach/queries.h"
 #include "serve/answer_cache.h"
 #include "serve/load_gen.h"
 #include "serve/query_service.h"
@@ -99,17 +88,13 @@ int Usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  qpgc_tool stats     <edges> [labels]\n"
-               "  qpgc_tool compress  [--shards=K] [--partitioner=hash|"
-               "contiguous|structure]\n"
-               "                      <edges> <artifact-out>\n"
-               "  qpgc_tool compressb [--bisim-engine=paige-tarjan|ranked|"
-               "signature]\n"
-               "                      <edges> <labels> <artifact-out>\n"
-               "  qpgc_tool query     <artifact> <u> <v>\n"
-               "  qpgc_tool info      <artifact>\n"
-               "  qpgc_tool save      [--varint] [--index=auto|raw64]\n"
+               "  qpgc_tool save      [--varint] [--index=auto|raw64] "
+               "[--shards=K]\n"
+               "                      [--partitioner=hash|contiguous|"
+               "structure]\n"
                "                      <edges> [labels] <snapshot-out>\n"
                "  qpgc_tool load      [--mmap] <snapshot>\n"
+               "  qpgc_tool query     <snapshot>... <u> <v>\n"
                "  qpgc_tool dataset   <name> <edges-out>\n"
                "  qpgc_tool serve-sim <edges> [labels] [--shards=K] "
                "[--partitioner=...]\n"
@@ -152,175 +137,97 @@ int CmdStats(const char* edges, const char* labels) {
   return 0;
 }
 
-int CmdCompress(const char* edges, const char* out, uint32_t shards,
-                PartitionerKind partitioner) {
-  auto loaded = LoadEdgeList(edges);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  const Graph& g = loaded.value();
-  if (shards <= 1) {
-    Timer t;
-    const ReachCompression rc = CompressR(g);
+bool ParseSizeFlag(const char* arg, const char* name, size_t* out) {
+  const size_t len = std::strlen(name);
+  if (std::strncmp(arg, name, len) != 0) return false;
+  *out = static_cast<size_t>(std::strtoul(arg + len, nullptr, 10));
+  return true;
+}
+
+bool ParseDoubleFlag(const char* arg, const char* name, double* out) {
+  const size_t len = std::strlen(name);
+  if (std::strncmp(arg, name, len) != 0) return false;
+  *out = std::strtod(arg + len, nullptr);
+  return true;
+}
+
+// True when `arg` is --partitioner=<name>; *known says whether the name
+// parsed into *kind.
+bool ParsePartitionerFlag(const char* arg, PartitionerKind* kind,
+                          bool* known) {
+  constexpr const char kFlag[] = "--partitioner=";
+  if (std::strncmp(arg, kFlag, sizeof(kFlag) - 1) != 0) return false;
+  *known = ParsePartitionerKind(arg + sizeof(kFlag) - 1, kind);
+  if (!*known) std::fprintf(stderr, "unknown partitioner '%s'\n", arg);
+  return true;
+}
+
+// --- save / load / query ---------------------------------------------------
+
+// Writes snaps[s] to `out` (one snapshot) or `out`.shard<s>, and reopens
+// each through the trusted fast path: that reports the exact artifact
+// length and proves the file round-trips before we claim success.
+int SaveArtifacts(
+    const std::vector<std::shared_ptr<const ServingSnapshot>>& snaps,
+    const std::string& out, storage::SaveOptions options, double compress_ms) {
+  std::printf("compressed in %.1fms (index=%s%s)\n", compress_ms,
+              options.index_encoding == storage::IndexEncoding::kRaw64
+                  ? "raw64"
+                  : "auto",
+              options.varint_adjacency ? ", varint adjacency" : "");
+  for (uint32_t s = 0; s < snaps.size(); ++s) {
+    const std::string path =
+        snaps.size() == 1 ? out : out + ".shard" + std::to_string(s);
+    options.shard = s;
+    Timer save_timer;
+    const Status saved = storage::SaveSnapshot(*snaps[s], path, options);
+    if (!saved.ok()) {
+      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
+      return 1;
+    }
+    const double save_ms = save_timer.ElapsedMillis();
+    auto reopened = storage::MmapSnapshot::Open(path);
+    if (!reopened.ok()) {
+      std::fprintf(stderr, "save: artifact fails to reopen: %s\n",
+                   reopened.status().ToString().c_str());
+      return 1;
+    }
     std::printf(
-        "compressR: %.1fms;  |G| = %zu -> |Gr| = %zu  (RCr = %.2f%%)\n",
-        t.ElapsedMillis(), g.size(), rc.size(), rc.CompressionRatio() * 100);
-    const Status s = SaveReachCompression(rc, out);
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("artifact written to %s\n", out);
-    return 0;
+        "artifact written to %s: |Gr(reach)| = %zu, |Gr(pattern)| = %zu, "
+        "%s on disk (%s in RAM), saved in %.1fms\n",
+        path.c_str(), snaps[s]->reach_gr().size(),
+        snaps[s]->pattern_gr().size(),
+        FormatBytes(reopened.value().MappedBytes()).c_str(),
+        FormatBytes(snaps[s]->MemoryBytes()).c_str(), save_ms);
   }
-
-  // Sharded compression: the whole batch pipeline runs zero-copy over each
-  // shard's ShardView; one artifact per shard.
-  if (!LabelsShardable(g)) {
-    std::fprintf(stderr,
-                 "compress: labels exceed the shardable range (every label "
-                 "must be below %u)\n",
-                 kGhostLabelBase);
-    return 1;
-  }
-  const ShardPartition part = BuildPartition(partitioner, g, shards, 0);
-  std::printf("partitioner: %s\n", PartitionerKindName(partitioner));
-  std::printf("%-6s %10s %10s %12s %8s %12s %12s\n", "shard", "|V_own|",
-              "|G_s|", "|Gr_s|", "RCr", "cross-out", "boundary-in");
-  size_t total_gr = 0;
-  for (uint32_t s = 0; s < shards; ++s) {
-    Timer t;
-    const ShardView<Graph> view(g, part, s);
-    const ReachCompression rc = CompressR(view);
-    total_gr += rc.size();
-    size_t cross = 0;
-    std::vector<uint8_t> boundary(g.num_nodes(), 0);
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (!part.Owns(s, u)) continue;
-      for (const NodeId v : g.OutNeighbors(u)) {
-        if (!part.Owns(s, v)) {
-          ++cross;
-          boundary[v] = 1;
-        }
-      }
-    }
-    size_t boundary_nodes = 0;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) boundary_nodes += boundary[v];
-    const std::string shard_out =
-        std::string(out) + ".shard" + std::to_string(s);
-    const Status status = SaveReachCompression(rc, shard_out.c_str());
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("%-6u %10zu %10zu %12zu %7.2f%% %12zu %12zu  (%.1fms -> %s)\n",
-                s, part.OwnedNodes(s).size(), ViewSize(view), rc.size(),
-                rc.CompressionRatio() * 100, cross, boundary_nodes,
-                t.ElapsedMillis(), shard_out.c_str());
-  }
-  std::printf("sum |Gr_s| = %zu over K = %u shards (|G| = %zu)\n", total_gr,
-              shards, g.size());
   return 0;
 }
-
-int CmdCompressB(const char* edges, const char* labels, const char* out,
-                 BisimEngine engine) {
-  auto loaded = LoadGraphArg(edges, labels);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  const Graph& g = loaded.value();
-  Timer t;
-  CompressBOptions options;
-  options.engine = engine;
-  const PatternCompression pc = CompressB(g, options);
-  std::printf(
-      "compressB[%s]: %.1fms;  |G| = %zu -> |Gr| = %zu  (PCr = %.2f%%)\n",
-      BisimEngineName(engine), t.ElapsedMillis(), g.size(), pc.size(),
-      pc.CompressionRatio() * 100);
-  const Status s = SavePatternCompression(pc, out);
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("artifact written to %s\n", out);
-  return 0;
-}
-
-int CmdQuery(const char* artifact, const char* u_str, const char* v_str) {
-  auto loaded = LoadReachCompression(artifact);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  const ReachCompression& rc = loaded.value();
-  const unsigned long u = std::strtoul(u_str, nullptr, 10);
-  const unsigned long v = std::strtoul(v_str, nullptr, 10);
-  if (u >= rc.node_map.size() || v >= rc.node_map.size()) {
-    std::fprintf(stderr, "node out of range (|V| = %zu)\n",
-                 rc.node_map.size());
-    return 1;
-  }
-  const ReachQuery q{static_cast<NodeId>(u), static_cast<NodeId>(v)};
-  const bool answer =
-      AnswerOnCompressed(rc, q, PathMode::kReflexive, ReachAlgorithm::kBfs);
-  std::printf("QR(%lu, %lu) = %s   [rewritten to QR(%u, %u) on Gr]\n", u, v,
-              answer ? "true" : "false", rc.node_map[q.u], rc.node_map[q.v]);
-  return 0;
-}
-
-int CmdInfo(const char* artifact) {
-  auto rc = LoadReachCompression(artifact);
-  if (rc.ok()) {
-    const ReachCompression& r = rc.value();
-    std::printf("reachability artifact: %s\n", r.gr.DebugString().c_str());
-    std::printf("original |V| = %zu, |G| = %zu, RCr = %.2f%%\n",
-                r.original_num_nodes, r.original_size,
-                r.CompressionRatio() * 100);
-    std::printf("memory: %s\n", FormatBytes(r.MemoryBytes()).c_str());
-    return 0;
-  }
-  auto pc = LoadPatternCompression(artifact);
-  if (pc.ok()) {
-    const PatternCompression& p = pc.value();
-    std::printf("pattern artifact: %s\n", p.gr.DebugString().c_str());
-    std::printf("original |V| = %zu, |G| = %zu, PCr = %.2f%%\n",
-                p.original_num_nodes, p.original_size,
-                p.CompressionRatio() * 100);
-    std::printf("memory: %s\n", FormatBytes(p.MemoryBytes()).c_str());
-    return 0;
-  }
-  std::fprintf(stderr, "not a qpgc artifact: %s\n", artifact);
-  return 1;
-}
-
-// --- save / load -----------------------------------------------------------
 
 int CmdSave(const std::vector<const char*>& args) {
   storage::SaveOptions options;
+  size_t shards = 1;
+  PartitionerKind partitioner = PartitionerKind::kHash;
   std::vector<const char*> pos;
   for (const char* arg : args) {
-    if (arg[0] == '-') {
-      if (std::strcmp(arg, "--varint") == 0) {
-        options.varint_adjacency = true;
-        continue;
-      }
-      if (std::strcmp(arg, "--index=auto") == 0) {
-        options.index_encoding = storage::IndexEncoding::kAuto;
-        continue;
-      }
-      if (std::strcmp(arg, "--index=raw64") == 0) {
-        options.index_encoding = storage::IndexEncoding::kRaw64;
-        continue;
-      }
+    if (arg[0] != '-') {
+      pos.push_back(arg);
+      continue;
+    }
+    bool known_partitioner = true;
+    if (std::strcmp(arg, "--varint") == 0) {
+      options.varint_adjacency = true;
+    } else if (std::strcmp(arg, "--index=auto") == 0) {
+      options.index_encoding = storage::IndexEncoding::kAuto;
+    } else if (std::strcmp(arg, "--index=raw64") == 0) {
+      options.index_encoding = storage::IndexEncoding::kRaw64;
+    } else if (!ParseSizeFlag(arg, "--shards=", &shards) &&
+               !ParsePartitionerFlag(arg, &partitioner, &known_partitioner)) {
       std::fprintf(stderr, "save: unknown flag '%s'\n", arg);
       return Usage();
     }
-    pos.push_back(arg);
+    if (!known_partitioner) return Usage();
   }
-  if (pos.size() != 2 && pos.size() != 3) return Usage();
+  if ((pos.size() != 2 && pos.size() != 3) || shards == 0) return Usage();
   auto loaded = LoadGraphArg(pos[0], pos.size() == 3 ? pos[1] : nullptr);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
@@ -328,35 +235,73 @@ int CmdSave(const std::vector<const char*>& args) {
   }
   Graph g = std::move(loaded).value();
   Timer compress_timer;
-  SnapshotManager manager(std::move(g));
-  const auto snap = manager.Acquire();
-  const double compress_ms = compress_timer.ElapsedMillis();
-  Timer save_timer;
-  const Status saved = storage::SaveSnapshot(*snap, pos.back(), options);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "%s\n", saved.ToString().c_str());
+  if (shards == 1) {
+    SnapshotManager manager(std::move(g));
+    return SaveArtifacts({manager.Acquire()}, pos.back(), options,
+                         compress_timer.ElapsedMillis());
+  }
+  if (!LabelsShardable(g)) {
+    std::fprintf(stderr,
+                 "save: labels exceed the shardable range (every label must "
+                 "be below %u)\n",
+                 kGhostLabelBase);
     return 1;
   }
-  const double save_ms = save_timer.ElapsedMillis();
-  // Reopen through the trusted fast path: reports the exact artifact length
-  // and proves the file round-trips before we claim success.
-  auto reopened = storage::MmapSnapshot::Open(pos.back());
-  if (!reopened.ok()) {
-    std::fprintf(stderr, "save: artifact fails to reopen: %s\n",
-                 reopened.status().ToString().c_str());
-    return 1;
+  ShardedManagerOptions sharded_options;
+  sharded_options.num_shards = static_cast<uint32_t>(shards);
+  sharded_options.partitioner = partitioner;
+  const ShardedSnapshotManager manager(g, sharded_options);
+  std::printf("partitioner: %s, K = %zu\n", PartitionerKindName(partitioner),
+              shards);
+  options.num_shards = static_cast<uint32_t>(shards);
+  options.partition = &manager.partition();
+  return SaveArtifacts(manager.AcquireAll(), pos.back(), options,
+                       compress_timer.ElapsedMillis());
+}
+
+bool InRange(unsigned long long u, unsigned long long v, size_t n) {
+  if (u < n && v < n) return true;
+  std::fprintf(stderr, "node out of range (|V| = %zu)\n", n);
+  return false;
+}
+
+// QR(u, v) from one artifact, through a verified mmap open, or from a whole
+// shard set, through LoadShardSet and the router. Both range-check u and v
+// first: the query paths QPGC_CHECK them.
+int CmdQuery(const std::vector<const char*>& args) {
+  char* u_end = nullptr;
+  char* v_end = nullptr;
+  const unsigned long long u = std::strtoull(args[args.size() - 2], &u_end, 10);
+  const unsigned long long v = std::strtoull(args[args.size() - 1], &v_end, 10);
+  if (*u_end != '\0' || *v_end != '\0') return Usage();
+  const std::vector<std::string> paths(args.begin(), args.end() - 2);
+  bool answer = false;
+  if (paths.size() == 1) {
+    auto mapped = storage::MmapSnapshot::Open(
+        paths[0], storage::LoadOptions{/*verify=*/true});
+    if (!mapped.ok()) {
+      std::fprintf(stderr, "%s\n", mapped.status().ToString().c_str());
+      return 1;
+    }
+    const storage::MmapSnapshot& snap = mapped.value();
+    if (snap.num_shards() != 1) {
+      std::fprintf(stderr, "%s is shard %u of %u: pass every shard file\n",
+                   paths[0].c_str(), snap.shard(), snap.num_shards());
+      return 1;
+    }
+    if (!InRange(u, v, snap.original_num_nodes())) return 1;
+    answer = snap.Reach(static_cast<NodeId>(u), static_cast<NodeId>(v));
+  } else {
+    auto set = storage::LoadShardSet(paths);
+    if (!set.ok()) {
+      std::fprintf(stderr, "%s\n", set.status().ToString().c_str());
+      return 1;
+    }
+    const PinnedShards pins(set.value().partition, set.value().snapshots);
+    if (!InRange(u, v, set.value().partition->num_nodes())) return 1;
+    answer = pins.Reach(static_cast<NodeId>(u), static_cast<NodeId>(v));
   }
-  std::printf(
-      "compressed in %.1fms (|Gr(reach)| = %zu, |Gr(pattern)| = %zu), "
-      "saved in %.1fms\n"
-      "snapshot artifact: %s (%s in RAM, index=%s%s)\n",
-      compress_ms, snap->reach_gr().size(), snap->pattern_gr().size(), save_ms,
-      FormatBytes(reopened.value().MappedBytes()).c_str(),
-      FormatBytes(snap->MemoryBytes()).c_str(),
-      options.index_encoding == storage::IndexEncoding::kRaw64 ? "raw64"
-                                                               : "auto",
-      options.varint_adjacency ? ", varint adjacency" : "");
-  std::printf("artifact written to %s\n", pos.back());
+  std::printf("QR(%llu, %llu) = %s\n", u, v, answer ? "true" : "false");
   return 0;
 }
 
@@ -460,7 +405,7 @@ int CmdLoad(const std::vector<const char*>& args) {
   const double full_ms = full_timer.ElapsedMillis();
   std::printf(
       "mmap open: %.2fms (%s mapped, %s decoded to heap)\n"
-      "full deserialize (verified): %.2fms (%s in RAM) — mmap is %.1fx "
+      "heap load (verified): %.2fms (%s in RAM) — mmap is %.1fx "
       "faster to first byte\n",
       mmap_ms, FormatBytes(snap.MappedBytes()).c_str(),
       FormatBytes(snap.DecodedHeapBytes()).c_str(), full_ms,
@@ -507,20 +452,6 @@ struct MmapService {
   std::shared_ptr<const storage::MmapSnapshot> snap;
   std::shared_ptr<const storage::MmapSnapshot> Pin() const { return snap; }
 };
-
-bool ParseSizeFlag(const char* arg, const char* name, size_t* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  *out = static_cast<size_t>(std::strtoul(arg + len, nullptr, 10));
-  return true;
-}
-
-bool ParseDoubleFlag(const char* arg, const char* name, double* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  *out = std::strtod(arg + len, nullptr);
-  return true;
-}
 
 // The --cache A/B: one timed read-only reach window against the plain
 // service, the same window (same workload, same seeds) through the caching
@@ -584,14 +515,9 @@ int CmdServeSim(const std::vector<const char*>& args) {
         opts.mmap_ab = true;
         continue;
       }
-      constexpr const char kPartitionerFlag[] = "--partitioner=";
-      if (std::strncmp(arg, kPartitionerFlag,
-                       sizeof(kPartitionerFlag) - 1) == 0) {
-        const char* value = arg + sizeof(kPartitionerFlag) - 1;
-        if (!ParsePartitionerKind(value, &opts.partitioner)) {
-          std::fprintf(stderr, "serve-sim: unknown partitioner '%s'\n", value);
-          return Usage();
-        }
+      bool known_partitioner = true;
+      if (ParsePartitionerFlag(arg, &opts.partitioner, &known_partitioner)) {
+        if (!known_partitioner) return Usage();
         continue;
       }
       std::fprintf(stderr, "serve-sim: unknown flag '%s'\n", arg);
@@ -869,80 +795,24 @@ int CmdDataset(const char* name, const char* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --bisim-engine=<name> (and, for `compress`, --shards=K and
-  // --partitioner=<name>) wherever they appear; positional arguments keep
-  // their order. serve-sim parses its own flags, --shards and --partitioner
-  // included; any other command sees them as positional and fails usage
-  // instead of silently ignoring them.
-  BisimEngine engine = BisimEngine::kPaigeTarjan;
-  uint32_t shards = 1;
-  PartitionerKind partitioner = PartitionerKind::kHash;
-  std::vector<const char*> args;
-  const bool is_compress = argc > 1 && std::strcmp(argv[1], "compress") == 0;
-  for (int i = 1; i < argc; ++i) {
-    constexpr const char kEngineFlag[] = "--bisim-engine=";
-    if (std::strncmp(argv[i], kEngineFlag, sizeof(kEngineFlag) - 1) == 0) {
-      const char* value = argv[i] + sizeof(kEngineFlag) - 1;
-      if (!ParseBisimEngine(value, &engine)) {
-        std::fprintf(stderr, "unknown bisim engine '%s'\n", value);
-        return Usage();
-      }
-      continue;
-    }
-    constexpr const char kShardsFlag[] = "--shards=";
-    if (is_compress &&
-        std::strncmp(argv[i], kShardsFlag, sizeof(kShardsFlag) - 1) == 0) {
-      const unsigned long value =
-          std::strtoul(argv[i] + sizeof(kShardsFlag) - 1, nullptr, 10);
-      if (value < 1) {
-        std::fprintf(stderr, "invalid shard count '%s'\n", argv[i]);
-        return Usage();
-      }
-      shards = static_cast<uint32_t>(value);
-      continue;
-    }
-    constexpr const char kPartitionerFlag[] = "--partitioner=";
-    if (is_compress && std::strncmp(argv[i], kPartitionerFlag,
-                                    sizeof(kPartitionerFlag) - 1) == 0) {
-      const char* value = argv[i] + sizeof(kPartitionerFlag) - 1;
-      if (!ParsePartitionerKind(value, &partitioner)) {
-        std::fprintf(stderr, "unknown partitioner '%s'\n", value);
-        return Usage();
-      }
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const int argn = static_cast<int>(args.size());
+  // Each command parses its own flags; positional arguments keep their
+  // order.
+  const std::vector<const char*> args(argv + 1, argv + argc);
+  const size_t argn = args.size();
   if (argn < 1) return Usage();
   const char* cmd = args[0];
+  const std::vector<const char*> rest(args.begin() + 1, args.end());
   if (std::strcmp(cmd, "stats") == 0 && (argn == 2 || argn == 3)) {
     return CmdStats(args[1], argn == 3 ? args[2] : nullptr);
   }
-  if (std::strcmp(cmd, "compress") == 0 && argn == 3) {
-    return CmdCompress(args[1], args[2], shards, partitioner);
-  }
-  if (std::strcmp(cmd, "compressb") == 0 && argn == 4) {
-    return CmdCompressB(args[1], args[2], args[3], engine);
-  }
-  if (std::strcmp(cmd, "query") == 0 && argn == 4) {
-    return CmdQuery(args[1], args[2], args[3]);
-  }
-  if (std::strcmp(cmd, "info") == 0 && argn == 2) {
-    return CmdInfo(args[1]);
-  }
-  if (std::strcmp(cmd, "save") == 0 && argn >= 3) {
-    return CmdSave(std::vector<const char*>(args.begin() + 1, args.end()));
-  }
-  if (std::strcmp(cmd, "load") == 0 && argn >= 2) {
-    return CmdLoad(std::vector<const char*>(args.begin() + 1, args.end()));
-  }
+  if (std::strcmp(cmd, "save") == 0 && argn >= 3) return CmdSave(rest);
+  if (std::strcmp(cmd, "load") == 0 && argn >= 2) return CmdLoad(rest);
+  if (std::strcmp(cmd, "query") == 0 && argn >= 4) return CmdQuery(rest);
   if (std::strcmp(cmd, "dataset") == 0 && argn == 3) {
     return CmdDataset(args[1], args[2]);
   }
   if (std::strcmp(cmd, "serve-sim") == 0 && argn >= 2) {
-    return CmdServeSim(
-        std::vector<const char*>(args.begin() + 1, args.end()));
+    return CmdServeSim(rest);
   }
   return Usage();
 }
