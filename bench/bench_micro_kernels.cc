@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bisim/paige_tarjan.h"
-#include "bisim/ranked_bisim.h"
 #include "bisim/signature_bisim.h"
 #include "core/pattern_scheme.h"
 #include "gen/adversarial.h"
@@ -88,14 +87,6 @@ void BM_SignatureBisim(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SignatureBisim)->Arg(2000)->Arg(8000);
-
-void BM_RankedBisim(benchmark::State& state) {
-  const Graph g = LabeledGraph(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RankedBisimulation(g));
-  }
-}
-BENCHMARK(BM_RankedBisim)->Arg(2000)->Arg(8000);
 
 void BM_PaigeTarjanBisim(benchmark::State& state) {
   const Graph g = LabeledGraph(state.range(0));

@@ -6,19 +6,14 @@
 
 namespace qpgc {
 
-Partition KBisimulation(const Graph& g, size_t k, BisimEngine engine) {
-  return KBisimulation<Graph>(g, k, engine);
+Partition KBisimulationBackward(const Graph& g, size_t k) {
+  return KBisimulationBackward<Graph>(g, k);
 }
 
-Partition KBisimulationBackward(const Graph& g, size_t k, BisimEngine engine) {
-  return KBisimulationBackward<Graph>(g, k, engine);
-}
-
-Partition KBisimulationBackwardCopying(const Graph& g, size_t k,
-                                       BisimEngine engine) {
+Partition KBisimulationBackwardCopying(const Graph& g, size_t k) {
   Graph reversed = g;
   reversed.Reverse();
-  return KBisimulation(reversed, k, engine);
+  return KBisimulation(reversed, k);
 }
 
 Graph QuotientGraph(const Graph& g, const Partition& p) {

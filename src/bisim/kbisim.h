@@ -2,7 +2,9 @@
 //
 // k-bisimulation, in both orientations:
 //  * forward (out-edges): k rounds of the successor-signature refinement —
-//    the truncation of the maximum bisimulation compressB uses;
+//    the truncation of the maximum bisimulation compressB uses. It is
+//    KBisimulation in bisim/paige_tarjan.h: bounded splitter rounds on the
+//    Paige–Tarjan engine's segment machinery;
 //  * backward (in-edges): the equivalence underlying the 1-index of Milo &
 //    Suciu [19] and the A(k)-index of Kaushik et al. [15], which group
 //    nodes by incoming label paths (those indexes serve rooted path
@@ -22,42 +24,20 @@
 #ifndef QPGC_BISIM_KBISIM_H_
 #define QPGC_BISIM_KBISIM_H_
 
-#include "bisim/engine.h"
 #include "bisim/paige_tarjan.h"
 #include "bisim/partition.h"
-#include "bisim/signature_bisim.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 
 namespace qpgc {
 
-/// Forward k-bisimulation partition (k = 0 is the label partition). The
-/// default engine runs bounded splitter rounds (only nodes whose successor
-/// blocks changed are re-signatured); kSignature runs the plain global
-/// RefineOnce rounds. Identical results either way.
-template <GraphView G>
-Partition KBisimulation(const G& g, size_t k,
-                        BisimEngine engine = BisimEngine::kPaigeTarjan) {
-  // Any non-oracle engine choice uses the splitter rounds; the two bounded
-  // variants are the same partition sequence, so only the oracle needs the
-  // literal whole-partition rounds.
-  if (engine != BisimEngine::kSignature) return KBisimulationSplitter(g, k);
-  Partition p = LabelPartition(g);
-  for (size_t i = 0; i < k; ++i) {
-    if (!RefineOnce(g, p)) break;
-  }
-  p.Normalize();
-  return p;
-}
-
 /// Backward k-bisimulation partition (equal incoming structure up to depth
 /// k), the A(k)-index equivalence. In-edge-driven: forward refinement over
 /// the reversed view, so each round walks the view's InNeighbors directly.
 template <GraphView G>
-Partition KBisimulationBackward(const G& g, size_t k,
-                                BisimEngine engine = BisimEngine::kPaigeTarjan) {
-  return KBisimulation(ReversedView<G>(g), k, engine);
+Partition KBisimulationBackward(const G& g, size_t k) {
+  return KBisimulation(ReversedView<G>(g), k);
 }
 
 /// Quotient of g by an arbitrary partition, keeping labels (index-graph
@@ -75,17 +55,13 @@ Graph QuotientGraph(const G& g, const Partition& p) {
 }
 
 // Non-template Graph overloads (compiled once in kbisim.cc).
-Partition KBisimulation(const Graph& g, size_t k,
-                        BisimEngine engine = BisimEngine::kPaigeTarjan);
-Partition KBisimulationBackward(const Graph& g, size_t k,
-                                BisimEngine engine = BisimEngine::kPaigeTarjan);
+Partition KBisimulationBackward(const Graph& g, size_t k);
 Graph QuotientGraph(const Graph& g, const Partition& p);
 
 /// Historical backward implementation: copies the graph and calls
 /// Reverse() before running forward refinement. Kept strictly as a test
 /// oracle for the in-edge-driven variant; do not use on hot paths.
-Partition KBisimulationBackwardCopying(
-    const Graph& g, size_t k, BisimEngine engine = BisimEngine::kPaigeTarjan);
+Partition KBisimulationBackwardCopying(const Graph& g, size_t k);
 
 /// The A(k)-index graph: quotient of g by *backward* k-bisimulation, keeping
 /// labels. For comparison only — not query preserving for graph patterns.

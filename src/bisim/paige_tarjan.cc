@@ -8,8 +8,8 @@ Partition PaigeTarjanBisimulation(const Graph& g) {
   return PaigeTarjanBisimulation<Graph>(g);
 }
 
-Partition KBisimulationSplitter(const Graph& g, size_t k) {
-  return KBisimulationSplitter<Graph>(g, k);
+Partition KBisimulation(const Graph& g, size_t k) {
+  return KBisimulation<Graph>(g, k);
 }
 
 }  // namespace qpgc

@@ -257,12 +257,14 @@ Partition PaigeTarjanBisimulation(const G& g) {
   return out;
 }
 
-/// Forward k-bisimulation by bounded splitter rounds: identical (as a set
-/// partition) to k rounds of RefineOnce, but each round touches only the
-/// predecessors of nodes whose block changed in the previous round, so deep
-/// graphs cost O(affected) per round instead of Θ(|V| + |E|).
+/// Forward k-bisimulation partition (k = 0 is the label partition) by
+/// bounded splitter rounds: identical (as a set partition) to k rounds of
+/// RefineOnce, but each round touches only the predecessors of nodes whose
+/// block changed in the previous round, so deep graphs cost O(affected) per
+/// round instead of Θ(|V| + |E|). The backward orientation is in
+/// bisim/kbisim.h.
 template <GraphView G>
-Partition KBisimulationSplitter(const G& g, size_t k) {
+Partition KBisimulation(const G& g, size_t k) {
   using bisim_detail::MakeSegments;
   using bisim_detail::Segments;
 
@@ -378,7 +380,7 @@ Partition KBisimulationSplitter(const G& g, size_t k) {
 
 // Non-template Graph overloads (compiled once in paige_tarjan.cc).
 Partition PaigeTarjanBisimulation(const Graph& g);
-Partition KBisimulationSplitter(const Graph& g, size_t k);
+Partition KBisimulation(const Graph& g, size_t k);
 
 }  // namespace qpgc
 

@@ -1,13 +1,12 @@
 // Copyright 2026 The QPGC Authors.
 //
-// Internal building blocks shared by the bisimulation engines, hoisted out
-// of the per-engine translation units when the engines became GraphView
-// templates:
+// Internal building blocks of the bisimulation code, hoisted out of the
+// per-engine translation units when the engines became GraphView templates:
 //
 //  * Sig / SigHash — the (block, sorted distinct successor blocks) signature
-//    key used by the signature and ranked engines;
+//    key of the signature oracle's RefineOnce;
 //  * Segments / MakeSegments — the contiguous-block permutation that lets
-//    the splitter engines split a block in O(moved).
+//    Paige–Tarjan and the bounded k-bisimulation split a block in O(moved).
 //
 // Not part of the public API.
 
@@ -41,10 +40,10 @@ struct SigHash {
   }
 };
 
-// Refinement state shared by the full and bounded splitter engines: `nodes`
-// is a permutation of V in which every block occupies a contiguous segment,
-// so a block splits in O(moved) by swapping marked members to the front of
-// its segment and cutting the prefix off as a new block.
+// Refinement state shared by Paige–Tarjan and the bounded k-bisimulation:
+// `nodes` is a permutation of V in which every block occupies a contiguous
+// segment, so a block splits in O(moved) by swapping marked members to the
+// front of its segment and cutting the prefix off as a new block.
 struct Segments {
   std::vector<NodeId> nodes;   // permutation of V, blocks contiguous
   std::vector<uint32_t> pos;   // pos[v] = index of v in nodes

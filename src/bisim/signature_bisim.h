@@ -6,9 +6,12 @@
 // fixpoint. Converges to the coarsest stable partition — the maximum
 // bisimulation Rb — in at most |V| rounds of O(|E| log |E|).
 //
-// Used as ground truth for the rank-stratified production algorithm and for
-// mid-sized graphs where simplicity wins. Templated over GraphView (Graph,
-// CsrGraph, ReversedView); Graph overloads compiled once in the library.
+// The oracle that the production engine, Paige–Tarjan
+// (bisim/paige_tarjan.h), is differentially tested against; the engine
+// ablation bench times the two side by side. LabelPartition is also the
+// bounded k-bisimulation's starting partition. Templated over GraphView
+// (Graph, CsrGraph, ReversedView); Graph overloads compiled once in the
+// library.
 
 #ifndef QPGC_BISIM_SIGNATURE_BISIM_H_
 #define QPGC_BISIM_SIGNATURE_BISIM_H_

@@ -14,11 +14,11 @@ PatternCompression CompressBFromPartition(const Graph& g, const Partition& p) {
   return CompressBFromPartition<Graph>(g, p);
 }
 
-PatternCompression CompressB(const Graph& g, const CompressBOptions& options) {
+PatternCompression CompressB(const Graph& g) {
   // Freeze once, sweep flat: partition refinement and quotient construction
   // are read-only over adjacency.
   const CsrGraph frozen(g);
-  return CompressB<CsrGraph>(frozen, options);
+  return CompressB<CsrGraph>(frozen);
 }
 
 MatchResult ExpandMatch(const PatternCompression& pc, const MatchResult& on_gr) {

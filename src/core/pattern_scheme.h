@@ -20,8 +20,7 @@
 #include <span>
 #include <vector>
 
-#include "bisim/engine.h"
-#include "bisim/max_bisimulation.h"
+#include "bisim/paige_tarjan.h"
 #include "bisim/partition.h"
 #include "graph/builder.h"
 #include "graph/graph.h"
@@ -31,13 +30,6 @@
 #include "util/bitset.h"
 
 namespace qpgc {
-
-/// Options for compressB.
-struct CompressBOptions {
-  /// Which maximum-bisimulation engine computes the partition (see
-  /// bisim/engine.h; every engine yields the identical quotient).
-  BisimEngine engine = BisimEngine::kPaigeTarjan;
-};
 
 /// The pattern preserving compression artifact.
 struct PatternCompression {
@@ -86,16 +78,17 @@ PatternCompression CompressBFromPartition(const G& g, const Partition& p) {
   return pc;
 }
 
-/// Computes Gr = R(G) via the maximum bisimulation, on any view.
+/// Computes Gr = R(G) via the maximum bisimulation (Paige–Tarjan), on any
+/// view.
 template <GraphView G>
-PatternCompression CompressB(const G& g, const CompressBOptions& options = {}) {
-  return CompressBFromPartition(g, MaxBisimulation(g, options.engine));
+PatternCompression CompressB(const G& g) {
+  return CompressBFromPartition(g, PaigeTarjanBisimulation(g));
 }
 
 // Non-template Graph entry points (compiled once in pattern_scheme.cc).
 // CompressB freezes a CsrGraph snapshot and runs the pipeline on it.
 PatternCompression CompressBFromPartition(const Graph& g, const Partition& p);
-PatternCompression CompressB(const Graph& g, const CompressBOptions& options = {});
+PatternCompression CompressB(const Graph& g);
 
 /// The post-processing function P over any member representation: expands
 /// the block-level match `on_gr` through `members_of` (block id -> range of

@@ -20,53 +20,4 @@ std::vector<uint32_t> ReachTopoRanks(const Graph& g) {
   return ReachTopoRanks<Graph>(g);
 }
 
-std::vector<uint8_t> WellFounded(const Graph& g) {
-  return WellFounded<Graph>(g);
-}
-
-std::vector<int32_t> BisimRanksFromCondensation(const Condensation& cond) {
-  const Graph& dag = cond.dag;
-  const size_t nc = cond.scc.num_components;
-
-  std::vector<uint8_t> wf_comp(nc, 0);
-  std::vector<int32_t> rank_comp(nc, 0);
-  for (NodeId c : ReverseTopologicalOrder(dag)) {
-    bool wf = !cond.scc.cyclic[c];
-    for (NodeId d : dag.OutNeighbors(c)) {
-      if (!wf_comp[d]) wf = false;
-    }
-    wf_comp[c] = wf ? 1 : 0;
-
-    if (dag.OutDegree(c) == 0) {
-      // Sink SCC: rank 0 if the component is a true leaf (acyclic single
-      // node), -inf if it is cyclic (members have children inside the SCC).
-      rank_comp[c] = cond.scc.cyclic[c] ? kRankNegInf : 0;
-    } else {
-      int32_t r = kRankNegInf;
-      for (NodeId d : dag.OutNeighbors(c)) {
-        const int32_t rd = rank_comp[d];
-        int32_t contribution;
-        if (wf_comp[d]) {
-          QPGC_DCHECK(rd != kRankNegInf);
-          contribution = rd + 1;
-        } else {
-          contribution = rd;  // NWF child contributes its own rank
-        }
-        r = std::max(r, contribution);
-      }
-      rank_comp[c] = r;
-    }
-  }
-
-  std::vector<int32_t> rank(cond.scc.component.size());
-  for (NodeId v = 0; v < rank.size(); ++v) {
-    rank[v] = rank_comp[cond.scc.component[v]];
-  }
-  return rank;
-}
-
-std::vector<int32_t> BisimRanks(const Graph& g) {
-  return BisimRanks<Graph>(g);
-}
-
 }  // namespace qpgc

@@ -1,18 +1,9 @@
 // Copyright 2026 The QPGC Authors.
 //
-// Topological orders and the two rank functions the paper's incremental
-// algorithms are built on:
-//
-//  * r(s)  — the *topological rank* of Section 5.1: r(s) = 0 if s's SCC has
-//    no child in the condensation; nodes of one SCC share a rank; otherwise
-//    r(s) = max over children + 1. Lemma 7: (u,v) in Re implies r(u) = r(v).
-//
-//  * rb(v) — the *bisimulation rank* of Section 5.2 (after Dovier, Piazza &
-//    Policriti): rb(v) = 0 for leaves; rb(v) = -inf for nodes of a cyclic
-//    sink SCC; otherwise rb(v) = max of (rb(child)+1) over well-founded
-//    children SCCs and rb(child) over non-well-founded ones. Lemma 9:
-//    bisimilar nodes have equal rank, and a node is only affected by updates
-//    of strictly lower rank.
+// Topological orders and the topological rank r(s) of Section 5.1 that the
+// paper's incremental reach algorithm is built on: r(s) = 0 if s's SCC has
+// no child in the condensation; nodes of one SCC share a rank; otherwise
+// r(s) = max over children + 1. Lemma 7: (u,v) in Re implies r(u) = r(v).
 //
 // All entry points are GraphView templates (run on Graph or frozen CSR);
 // Graph overloads are compiled once in topology.cc.
@@ -29,9 +20,6 @@
 #include "graph/graph_view.h"
 
 namespace qpgc {
-
-/// Sentinel for rb = -infinity (cyclic sink SCCs).
-inline constexpr int32_t kRankNegInf = INT32_MIN;
 
 /// Topological order of a DAG (every edge goes from an earlier to a later
 /// position). Aborts if the graph has a cycle — callers pass condensations.
@@ -99,49 +87,11 @@ std::vector<uint32_t> ReachTopoRanks(const G& g) {
   return rank;
 }
 
-/// Well-foundedness per node: WF(v) iff v cannot reach any cycle.
-template <GraphView G>
-std::vector<uint8_t> WellFounded(const G& g) {
-  const Condensation cond = BuildCondensation(g);
-  const size_t nc = cond.scc.num_components;
-  // WF(c) iff c is acyclic and all condensation children are WF.
-  std::vector<uint8_t> wf_comp(nc, 0);
-  for (NodeId c : ReverseTopologicalOrder(cond.dag)) {
-    bool wf = !cond.scc.cyclic[c];
-    if (wf) {
-      for (NodeId d : cond.dag.OutNeighbors(c)) {
-        if (!wf_comp[d]) {
-          wf = false;
-          break;
-        }
-      }
-    }
-    wf_comp[c] = wf ? 1 : 0;
-  }
-  std::vector<uint8_t> wf(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    wf[v] = wf_comp[cond.scc.component[v]];
-  }
-  return wf;
-}
-
-/// Same as BisimRanks, but reusing a precomputed condensation of g.
-std::vector<int32_t> BisimRanksFromCondensation(const Condensation& cond);
-
-/// Bisimulation ranks rb for every node of g (Section 5.2). Requires the
-/// condensation, which the caller typically already has.
-template <GraphView G>
-std::vector<int32_t> BisimRanks(const G& g) {
-  return BisimRanksFromCondensation(BuildCondensation(g));
-}
-
 // Non-template Graph overloads (compiled once in topology.cc).
 std::vector<NodeId> TopologicalOrder(const Graph& dag);
 std::vector<NodeId> ReverseTopologicalOrder(const Graph& dag);
 std::vector<uint32_t> DagTopoRanks(const Graph& dag);
 std::vector<uint32_t> ReachTopoRanks(const Graph& g);
-std::vector<uint8_t> WellFounded(const Graph& g);
-std::vector<int32_t> BisimRanks(const Graph& g);
 
 }  // namespace qpgc
 

@@ -4,14 +4,14 @@
 
 namespace qpgc {
 
-IncPcmStats IncBsim(Graph& g, const UpdateBatch& batch, PatternCompression& pc,
-                    BisimEngine engine) {
+IncPcmStats IncBsim(Graph& g, const UpdateBatch& batch,
+                    PatternCompression& pc) {
   IncPcmStats total;
   for (const EdgeUpdate& up : batch.updates) {
     UpdateBatch single;
     single.updates.push_back(up);
     const UpdateBatch effective = ApplyBatch(g, single);
-    const IncPcmStats s = IncPCM(g, effective, pc, engine);
+    const IncPcmStats s = IncPCM(g, effective, pc);
     total.kept_updates += s.kept_updates;
     total.reduced_updates += s.reduced_updates;
     total.dissolved_blocks += s.dissolved_blocks;

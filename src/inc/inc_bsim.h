@@ -18,10 +18,8 @@ namespace qpgc {
 
 /// Applies `batch` to g one update at a time, maintaining pc after each
 /// single update. g must be the *pre-update* graph; on return it equals the
-/// post-update graph. Returns aggregate statistics. `engine` threads through
-/// to each per-update re-converge (see IncPCM).
-IncPcmStats IncBsim(Graph& g, const UpdateBatch& batch, PatternCompression& pc,
-                    BisimEngine engine = BisimEngine::kPaigeTarjan);
+/// post-update graph. Returns aggregate statistics.
+IncPcmStats IncBsim(Graph& g, const UpdateBatch& batch, PatternCompression& pc);
 
 }  // namespace qpgc
 

@@ -5,13 +5,14 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "bisim/paige_tarjan.h"
 #include "graph/builder.h"
 #include "util/hash.h"
 
 namespace qpgc {
 
 IncPcmStats IncPCM(const Graph& g_after, const UpdateBatch& effective,
-                   PatternCompression& pc, BisimEngine engine) {
+                   PatternCompression& pc) {
   IncPcmStats stats;
   if (effective.empty()) {
     return stats;
@@ -120,7 +121,7 @@ IncPcmStats IncPCM(const Graph& g_after, const UpdateBatch& effective,
   stats.hybrid_edges = h.num_edges();
 
   // Step 4: maximum bisimulation of the hybrid graph, translated back.
-  const Partition part = MaxBisimulation(h, engine);
+  const Partition part = PaigeTarjanBisimulation(h);
 
   PatternCompression next;
   next.original_num_nodes = pc.original_num_nodes;

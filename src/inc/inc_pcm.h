@@ -22,7 +22,7 @@
 //     quotient edges (exact, because a stable partition's quotient reflects
 //     every member's successor-block set); cone blocks dissolve into their
 //     members with real post-update out-adjacency.
-//  4. *Rank-stratified refinement on H* yields the maximum bisimulation;
+//  4. *Paige–Tarjan refinement on H* yields the maximum bisimulation;
 //     frozen supers never merge with each other (their unfoldings were
 //     distinct and are untouched), while dissolved members may join a
 //     frozen super's class. Translating member sets gives R(G ⊕ ΔG).
@@ -32,7 +32,6 @@
 
 #include <cstddef>
 
-#include "bisim/engine.h"
 #include "core/pattern_scheme.h"
 #include "graph/update.h"
 
@@ -66,11 +65,8 @@ struct IncPcmStats {
 /// Maintains pc (compression of the pre-update graph) so that afterwards
 /// pc == CompressB(g_after) up to block numbering. `g_after` must already
 /// have the batch applied; `effective` is ApplyBatch's return value.
-/// `engine` chooses the maximum-bisimulation engine the hybrid-graph
-/// re-converge step runs (every engine yields the same quotient).
 IncPcmStats IncPCM(const Graph& g_after, const UpdateBatch& effective,
-                   PatternCompression& pc,
-                   BisimEngine engine = BisimEngine::kPaigeTarjan);
+                   PatternCompression& pc);
 
 }  // namespace qpgc
 

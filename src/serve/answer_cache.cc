@@ -308,12 +308,15 @@ CacheStats AnswerCache::Stats() const {
 
 bool CachedSnapshot::Reach(NodeId u, NodeId v, PathMode mode,
                            ReachAlgorithm algo) const {
+  // Same range check and abort as the uncached ServingSnapshot::Reach, ahead
+  // of both the reflexive shortcut and the node-map lookup.
+  const std::vector<NodeId>& map = snap_->reach_map();
+  QPGC_CHECK(u < map.size() && v < map.size());
   if (mode == PathMode::kReflexive && u == v) return true;
   // Canonical fact: non-empty-path reachability between reach-quotient
   // blocks. Every remaining (u, v, mode) combination reduces to it —
   // including the kNonEmpty diagonal, which asks for a cycle through u's
   // block — so one cached answer covers all equivalent probes.
-  const std::vector<NodeId>& map = snap_->reach_map();
   const uint64_t cu = map[u];
   const uint64_t cv = map[v];
   switch (cache_->LookupReach(cu, cv)) {
@@ -351,6 +354,9 @@ std::shared_ptr<const CachedSnapshot> CachedQueryService::Pin() const {
 }
 
 bool CachedPinnedShards::Reach(NodeId u, NodeId v, PathMode mode) const {
+  // Same range check and abort as the uncached PinnedShards::Reach.
+  const size_t n = pins_->original_num_nodes();
+  QPGC_CHECK(u < n && v < n);
   if (mode == PathMode::kReflexive && u == v) return true;
   // Sharded canonical keys are the original node ids (see header): a node's
   // global reach identity depends on its block in EVERY shard that has

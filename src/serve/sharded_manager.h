@@ -75,7 +75,7 @@ struct ShardedManagerOptions {
   /// when ids correlate with structure), or the SCC-coarsened structure
   /// partitioner (docs/SHARDING.md discusses the trade-offs).
   PartitionerKind partitioner = PartitionerKind::kHash;
-  /// Per-shard manager options (publish policy, compression engines). The
+  /// Per-shard manager options (publish policy, compressR options). The
   /// boundary_exits_provider / boundary_entries_provider fields are
   /// overwritten per shard.
   SnapshotManagerOptions shard_options;

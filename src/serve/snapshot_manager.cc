@@ -121,7 +121,7 @@ SnapshotManager::SnapshotManager(Graph g, SnapshotManagerOptions options)
     : g_(std::move(g)),
       options_(std::move(options)),
       rc_(CompressR(g_, options_.reach_options)),
-      pc_(CompressB(g_, options_.pattern_options)),
+      pc_(CompressB(g_)),
       pool_(std::make_shared<BufferPool>()) {
   Publish();  // version 1: Acquire() never returns null
 }
@@ -151,7 +151,7 @@ ApplyStats SnapshotManager::Apply(
   stats.effective_updates = effective.size();
   if (!effective.empty()) {
     stats.rcm = IncRCM(g_, effective, rc_);
-    stats.pcm = IncPCM(g_, effective, pc_, options_.pattern_options.engine);
+    stats.pcm = IncPCM(g_, effective, pc_);
     pending_rcm_.Accumulate(stats.rcm);
     pending_pcm_.Accumulate(stats.pcm);
     pending_updates_ += effective.size();

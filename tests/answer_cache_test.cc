@@ -315,6 +315,42 @@ TEST(CachedShardedServiceTest, RoutedCachedDifferentialAcrossPublishes) {
 }
 
 // ---------------------------------------------------------------------------
+// Out-of-range node ids abort through a warm cached facade exactly as
+// through the uncached one, on the reflexive diagonal too. (Threadsafe
+// style: the child re-runs the test from the start instead of forking a
+// process that may hold locks or threads.)
+// ---------------------------------------------------------------------------
+
+// Warms `cached` with Reach(0, v) for every v < n, then probes past n.
+template <typename CachedService>
+void ExpectOutOfRangeReachAborts(const CachedService& cached, NodeId n) {
+  for (NodeId v = 0; v < n; ++v) (void)cached.Reach(0, v);
+  EXPECT_DEATH((void)cached.Reach(n, 0), "QPGC_CHECK failed");
+  EXPECT_DEATH((void)cached.Reach(0, n), "QPGC_CHECK failed");
+  EXPECT_DEATH((void)cached.Reach(1000000, 1000000), "QPGC_CHECK failed");
+}
+
+TEST(CachedQueryServiceDeathTest, OutOfRangeReachAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Graph g = GenerateUniform(200, 600, 3, 5);
+  SnapshotManager mgr(g);
+  ExpectOutOfRangeReachAborts(CachedQueryService(mgr), 200);
+  EXPECT_DEATH((void)QueryService(mgr).Reach(1000000, 1000000),
+               "QPGC_CHECK failed");
+}
+
+TEST(CachedShardedQueryServiceDeathTest, OutOfRangeReachAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Graph g = GenerateUniform(200, 600, 3, 5);
+  ShardedManagerOptions opts;
+  opts.num_shards = 2;
+  ShardedSnapshotManager mgr(g, opts);
+  ExpectOutOfRangeReachAborts(CachedShardedQueryService(mgr), 200);
+  EXPECT_DEATH((void)ShardedQueryService(mgr).Reach(1000000, 1000000),
+               "QPGC_CHECK failed");
+}
+
+// ---------------------------------------------------------------------------
 // Workload sampler: the hot set is a pure function of the workload seed, so
 // independent readers (and A/B phases) replay the same hot pairs.
 // ---------------------------------------------------------------------------

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bisim/ranked_bisim.h"
 #include "bisim/signature_bisim.h"
-#include "gen/adversarial.h"
-#include "gen/random_models.h"
 #include "gen/uniform.h"
 
 namespace qpgc {
@@ -45,21 +42,17 @@ TEST(BisimTest, SingleCycleAllBisimilar) {
   g.AddEdge(1, 0);
   const Partition p = SignatureBisimulation(g);
   EXPECT_EQ(p.num_blocks, 1u);
-  const Partition r = RankedBisimulation(g);
-  EXPECT_EQ(r.num_blocks, 1u);
 }
 
 TEST(BisimTest, TwoDisjointCyclesMerge) {
   // Two disjoint 2-cycles, same label: all four nodes bisimilar. This is
-  // the case naive sig-merge heuristics miss and rank-stratified refinement
-  // must get right.
+  // the case naive sig-merge heuristics miss.
   Graph g(std::vector<Label>{1, 1, 1, 1});
   g.AddEdge(0, 1);
   g.AddEdge(1, 0);
   g.AddEdge(2, 3);
   g.AddEdge(3, 2);
   EXPECT_EQ(SignatureBisimulation(g).num_blocks, 1u);
-  EXPECT_EQ(RankedBisimulation(g).num_blocks, 1u);
 }
 
 TEST(BisimTest, CycleVsLeafNotBisimilar) {
@@ -75,8 +68,6 @@ TEST(BisimTest, ResultIsStable) {
   const Graph g = GenerateUniform(150, 450, 4, 31);
   const Partition p = SignatureBisimulation(g);
   EXPECT_TRUE(IsStableBisimulationPartition(g, p));
-  const Partition r = RankedBisimulation(g);
-  EXPECT_TRUE(IsStableBisimulationPartition(g, r));
 }
 
 TEST(BisimTest, ResultIsCoarsestAmongTested) {
@@ -91,56 +82,9 @@ TEST(BisimTest, ResultIsCoarsestAmongTested) {
   EXPECT_TRUE(Refines(identity, max));
 }
 
-// The two algorithms must agree exactly across generator families.
-class BisimAgreementTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(BisimAgreementTest, RankedMatchesSignature) {
-  const uint64_t seed = GetParam();
-  Graph g;
-  switch (seed % 4) {
-    case 0:
-      g = GenerateUniform(130, 400, 3, seed);
-      break;
-    case 1:
-      g = PreferentialAttachment(130, 3, 0.4, seed);
-      break;
-    case 2:
-      g = CitationDag(130, 4, 0.5, seed);
-      break;
-    default:
-      g = CopyingModel(130, 4, 0.6, seed);
-      break;
-  }
-  if (seed % 2 == 0) AssignZipfLabels(g, 5, 0.8, seed);
-  const Partition a = SignatureBisimulation(g);
-  const Partition b = RankedBisimulation(g);
-  EXPECT_TRUE(SamePartition(a, b)) << "seed=" << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BisimAgreementTest,
-                         ::testing::Range<uint64_t>(1, 21));
-
-TEST(BisimTest, RankedMatchesSignatureOnStructuredFamilies) {
-  // Deep, highly stratified shapes — many strata with tiny fixpoints, the
-  // regime the per-stratum splitter delegation actually exercises (random
-  // models collapse to few ranks).
-  std::vector<Graph> graphs;
-  graphs.push_back(LongChain(200, 3));
-  graphs.push_back(LayeredDag(30, 4, 3, 17));
-  graphs.push_back(Broom(60, 40));
-  graphs.push_back(DirectedGrid(12, 12));
-  graphs.push_back(CompleteBinaryTree(9));
-  for (size_t i = 0; i < graphs.size(); ++i) {
-    const Partition a = SignatureBisimulation(graphs[i]);
-    const Partition b = RankedBisimulation(graphs[i]);
-    EXPECT_TRUE(SamePartition(a, b)) << "family index " << i;
-  }
-}
-
 TEST(BisimTest, EmptyGraph) {
   Graph g(0);
   EXPECT_EQ(SignatureBisimulation(g).num_blocks, 0u);
-  EXPECT_EQ(RankedBisimulation(g).num_blocks, 0u);
 }
 
 }  // namespace

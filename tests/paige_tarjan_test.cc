@@ -1,19 +1,20 @@
 // Copyright 2026 The QPGC Authors.
 //
 // Differential and property suite for the Paige–Tarjan engine:
-//   * PT == SignatureBisimulation (the oracle) on every random-model family
-//     and on every adversarial deep generator;
+//   * PT == SignatureBisimulation (the oracle) on every random-model family,
+//     on every adversarial deep generator, and on the graphs the end-to-end
+//     benchmark serves;
 //   * the result is a stable partition refining the label partition;
 //   * bounded splitter k-bisimulation == k rounds of RefineOnce;
 //   * closed-form block counts on the adversarial topologies.
 
 #include <gtest/gtest.h>
 
-#include "bisim/engine.h"
 #include "bisim/kbisim.h"
 #include "bisim/paige_tarjan.h"
 #include "bisim/signature_bisim.h"
 #include "gen/adversarial.h"
+#include "gen/dataset_catalog.h"
 #include "gen/random_models.h"
 #include "gen/uniform.h"
 
@@ -97,8 +98,24 @@ TEST(PaigeTarjanTest, AdversarialTopologiesMatchOracle) {
   ExpectMatchesOracle(CompleteBinaryTree(7), "tree-7");
 }
 
-// Differential fuzz across the random-model families (the same sweep the
-// ranked engine is held to in bisim_test.cc, plus structural twins).
+// The graphs bench/e2e serves, at full size (tens of thousands of nodes),
+// built the way its workloads build them.
+TEST(PaigeTarjanTest, BenchmarkGraphsMatchOracle) {
+  {
+    Graph g = PreferentialAttachment(20000, 4, 0.45, 13);
+    AssignZipfLabels(g, 4, 1.1, 14);
+    ExpectMatchesOracle(g, "social");
+  }
+  {
+    Graph g = DirectedGrid(141, 141);
+    AssignZipfLabels(g, 4, 1.1, 14);
+    ExpectMatchesOracle(g, "grid-141");
+  }
+  ExpectMatchesOracle(MakeDataset(FindPatternDataset("Citation")), "citation");
+}
+
+// Differential fuzz across the random-model families, plus structural
+// twins.
 class PaigeTarjanAgreement : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PaigeTarjanAgreement, MatchesSignatureOracle) {
@@ -155,8 +172,11 @@ TEST_P(BoundedSplitterAgreement, MatchesGlobalRounds) {
   }
   for (const size_t k : {size_t{0}, size_t{1}, size_t{2}, size_t{5},
                          size_t{40}}) {
-    const Partition fast = KBisimulation(g, k, BisimEngine::kPaigeTarjan);
-    const Partition oracle = KBisimulation(g, k, BisimEngine::kSignature);
+    const Partition fast = KBisimulation(g, k);
+    Partition oracle = LabelPartition(g);
+    for (size_t i = 0; i < k; ++i) {
+      if (!RefineOnce(g, oracle)) break;
+    }
     EXPECT_TRUE(SamePartition(fast, oracle))
         << "seed=" << seed << " k=" << k << ": splitter " << fast.num_blocks
         << " blocks, oracle " << oracle.num_blocks;
@@ -165,16 +185,6 @@ TEST_P(BoundedSplitterAgreement, MatchesGlobalRounds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundedSplitterAgreement,
                          ::testing::Range<uint64_t>(1, 13));
-
-TEST(BisimEngineTest, DispatchAndNames) {
-  const Graph g = GenerateUniform(60, 180, 3, 5);
-  const Partition oracle = SignatureBisimulation(g);
-  EXPECT_TRUE(SamePartition(MaxBisimulation(g), oracle));
-  EXPECT_TRUE(
-      SamePartition(MaxBisimulation(g, BisimEngine::kRanked), oracle));
-  EXPECT_TRUE(
-      SamePartition(MaxBisimulation(g, BisimEngine::kSignature), oracle));
-}
 
 }  // namespace
 }  // namespace qpgc

@@ -79,62 +79,5 @@ TEST(TopologyTest, Lemma7RankInvariantOnRandomGraphs) {
   }
 }
 
-TEST(TopologyTest, WellFoundedBasics) {
-  // 0 -> 1 -> (2 <-> 3); 4 isolated.
-  Graph g(5);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 3);
-  g.AddEdge(3, 2);
-  const auto wf = WellFounded(g);
-  EXPECT_FALSE(wf[0]);  // reaches the cycle
-  EXPECT_FALSE(wf[1]);
-  EXPECT_FALSE(wf[2]);  // on the cycle
-  EXPECT_TRUE(wf[4]);
-}
-
-TEST(TopologyTest, BisimRanksLeafAndCycle) {
-  // Leaf: rank 0. Cyclic sink SCC: rank -inf. Node above the cycle: -inf
-  // children contribute their own rank.
-  Graph g(4);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 1);  // cyclic sink SCC {1,2}
-  g.AddEdge(3, 1);  // above the cycle
-  const auto rb = BisimRanks(g);
-  EXPECT_EQ(rb[0], 0);  // isolated leaf
-  EXPECT_EQ(rb[1], kRankNegInf);
-  EXPECT_EQ(rb[2], kRankNegInf);
-  EXPECT_EQ(rb[3], kRankNegInf);  // NWF child contributes rb, not rb+1
-}
-
-TEST(TopologyTest, BisimRanksWellFoundedChain) {
-  Graph g(3);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  const auto rb = BisimRanks(g);
-  EXPECT_EQ(rb[2], 0);
-  EXPECT_EQ(rb[1], 1);
-  EXPECT_EQ(rb[0], 2);
-}
-
-TEST(TopologyTest, BisimRanksMixedChildren) {
-  // 4 -> leaf(5) and 4 -> cycle{1,2}: rank = max(0 + 1, -inf) = 1.
-  Graph g(6);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 1);
-  g.AddEdge(4, 5);
-  g.AddEdge(4, 1);
-  const auto rb = BisimRanks(g);
-  EXPECT_EQ(rb[5], 0);
-  EXPECT_EQ(rb[4], 1);
-}
-
-TEST(TopologyTest, SelfLoopIsNegInfRank) {
-  Graph g(1);
-  g.AddEdge(0, 0);
-  const auto rb = BisimRanks(g);
-  EXPECT_EQ(rb[0], kRankNegInf);
-}
-
 }  // namespace
 }  // namespace qpgc
