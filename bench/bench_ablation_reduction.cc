@@ -26,18 +26,18 @@ int main() {
     const Graph g = MakeDataset(spec);
     const Condensation cond = BuildCondensation(g);
 
-    CompressROptions no_tr;
-    no_tr.transitive_reduction = false;
-    const ReachCompression rc_no_tr = CompressR(g, no_tr);
+    // The artifact's quotient is Gr before the transitive reduction: the
+    // same classes, every class-level edge.
     const ReachCompression rc = CompressR(g);
+    const Graph& no_tr = rc.quotient;
 
     const double tr_saving =
-        rc_no_tr.gr.num_edges() == 0
+        no_tr.num_edges() == 0
             ? 0.0
             : 1.0 - static_cast<double>(rc.gr.num_edges()) /
-                        static_cast<double>(rc_no_tr.gr.num_edges());
+                        static_cast<double>(no_tr.num_edges());
     std::printf("%-12s | %10zu %10zu %10zu %10zu | %9s\n", spec.name.c_str(),
-                g.size(), cond.dag.size(), rc_no_tr.size(), rc.size(),
+                g.size(), cond.dag.size(), no_tr.size(), rc.size(),
                 bench::Pct(tr_saving).c_str());
     bench::Metric("tr_saving." + spec.name, tr_saving);
     bench::Metric("gr_size." + spec.name, static_cast<double>(rc.size()));

@@ -5,7 +5,7 @@
 namespace qpgc {
 
 ReachabilityPreservingCompression::ReachabilityPreservingCompression(
-    const Graph& g, const CompressROptions& options)
-    : rc_(CompressR(g, options)) {}
+    const Graph& g)
+    : rc_(CompressR(g)) {}
 
 }  // namespace qpgc

@@ -20,8 +20,7 @@ class ReachabilityPreservingCompression {
   /// Compresses g (runs compressR). Out of line: this is the scheme's one
   /// expensive entry point, and keeping it in reach_scheme.cc keeps the
   /// facade header cheap to include.
-  explicit ReachabilityPreservingCompression(
-      const Graph& g, const CompressROptions& options = {});
+  explicit ReachabilityPreservingCompression(const Graph& g);
 
   /// The query rewriting function F (O(1)).
   RewrittenReachQuery Rewrite(const ReachQuery& q) const {

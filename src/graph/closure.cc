@@ -2,9 +2,8 @@
 
 #include "graph/closure.h"
 
-#include <deque>
-
-#include "graph/topology.h"
+#include <algorithm>
+#include <vector>
 
 namespace qpgc {
 
@@ -40,37 +39,6 @@ BitMatrix FullClosure(const Graph& g, Direction dir) {
     }
   }
   return closure;
-}
-
-void BlockDescendants(const Graph& dag, std::span<const NodeId> order,
-                      std::span<const uint8_t> self_seed, size_t block_start,
-                      size_t block_cols, Direction dir, BitMatrix& out) {
-  QPGC_CHECK(out.rows() == dag.num_nodes() && out.cols() == block_cols);
-  out.Reset();
-  const size_t block_end = block_start + block_cols;
-  for (const NodeId u : order) {
-    const auto children =
-        dir == Direction::kForward ? dag.OutNeighbors(u) : dag.InNeighbors(u);
-    for (const NodeId c : children) {
-      out.OrRowInto(c, u);
-      if (c >= block_start && c < block_end) out.Set(u, c - block_start);
-    }
-    if (!self_seed.empty() && self_seed[u] && u >= block_start &&
-        u < block_end) {
-      out.Set(u, u - block_start);
-    }
-  }
-}
-
-BitMatrix DagClosure(const Graph& dag, std::span<const uint8_t> self_seed,
-                     Direction dir) {
-  const size_t n = dag.num_nodes();
-  BitMatrix out(n, n);
-  const std::vector<NodeId> order = dir == Direction::kForward
-                                        ? ReverseTopologicalOrder(dag)
-                                        : TopologicalOrder(dag);
-  BlockDescendants(dag, order, self_seed, 0, n, dir, out);
-  return out;
 }
 
 }  // namespace qpgc

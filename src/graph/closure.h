@@ -1,28 +1,13 @@
 // Copyright 2026 The QPGC Authors.
 //
-// Transitive-closure computation, in two flavors:
-//
-//  * FullClosure: one BFS per node, materializing the whole V x V closure as
-//    a bit matrix. This is the paper's O(|V|(|V| + |E|)) reference procedure
-//    (Section 3.2 computes Re exactly this way) — used for small graphs and
-//    as the ground truth in property tests.
-//
-//  * BlockDescendants: the memory-bounded workhorse. For a DAG, computes for
-//    *every* node its reachability bits into one block of target columns, by
-//    a single sweep in reverse topological order (children before parents).
-//    Sweeping over all blocks costs O(|E| * |V| / 64) word operations but
-//    only O(|V| * block_cols / 8) bytes at a time, which is what makes the
-//    equivalence-class refinement in reach/ scale past the naive algorithm.
-//
-// All closures here are *non-empty-path* closures: desc(u) contains u only
-// when explicitly seeded (see `self_seed` — used to mark cyclic SCC nodes,
-// the "augmented" sets of DESIGN.md §3).
+// Transitive closure by one BFS per node, materializing the whole V x V
+// closure as a bit matrix: the paper's O(|V|(|V| + |E|)) reference procedure
+// (Section 3.2 computes Re exactly this way). Used on small graphs and as
+// the ground truth in property tests; the production path reads reachability
+// off a transitive reduction instead (graph/reduction.h).
 
 #ifndef QPGC_GRAPH_CLOSURE_H_
 #define QPGC_GRAPH_CLOSURE_H_
-
-#include <span>
-#include <vector>
 
 #include "graph/graph.h"
 #include "graph/traversal.h"
@@ -34,24 +19,6 @@ namespace qpgc {
 /// path of length >= 1. O(|V|(|V| + |E|)) time, |V|^2/8 bytes.
 BitMatrix FullClosure(const Graph& g,
                       Direction dir = Direction::kForward);
-
-/// Blocked DAG reachability. Fills `out` (rows = |V|, cols = block_cols) so
-/// that row u has bit (t - block_start) iff u reaches DAG node t (non-empty
-/// path) for t in [block_start, block_start + block_cols), OR u == t and
-/// self_seed[u] is set (augmentation for cyclic SCC nodes).
-///
-/// `dir` selects descendants (kForward) or ancestors (kBackward).
-/// `order` must be a traversal order with dependencies first: reverse
-/// topological for kForward, topological for kBackward.
-void BlockDescendants(const Graph& dag, std::span<const NodeId> order,
-                      std::span<const uint8_t> self_seed, size_t block_start,
-                      size_t block_cols, Direction dir, BitMatrix& out);
-
-/// Descendant bitsets for a whole (small) DAG with augmentation, via a single
-/// full-width blocked sweep. Convenience wrapper used on compressed graphs,
-/// which are small enough for the full matrix.
-BitMatrix DagClosure(const Graph& dag, std::span<const uint8_t> self_seed,
-                     Direction dir = Direction::kForward);
 
 }  // namespace qpgc
 

@@ -2,10 +2,14 @@
 
 #include "graph/io.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.h"
 
@@ -13,9 +17,16 @@ namespace qpgc {
 
 namespace {
 
-// Parses "u v" pairs from a stream into a builder. Returns a line number on
-// failure, 0 on success.
-size_t ParseEdgesInto(std::istream& in, GraphBuilder& builder) {
+// The largest id sizes the graph, so it must stay below 2^20 + 16 per edge
+// line (io.h): one line "0 4000000000" would otherwise exhaust memory.
+constexpr uint64_t kIdSlack = uint64_t{1} << 20;
+constexpr uint64_t kIdsPerEdgeLine = 16;
+
+// Parses "u v" pairs from a stream. Every error message starts with
+// `where` (a path and ": ", or nothing).
+Result<Graph> ParseEdges(std::istream& in, const std::string& where) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  size_t num_nodes = 0;  // largest id + 1
   std::string line;
   size_t lineno = 0;
   while (std::getline(in, line)) {
@@ -25,11 +36,23 @@ size_t ParseEdgesInto(std::istream& in, GraphBuilder& builder) {
       ++i;
     if (i >= line.size() || line[i] == '#') continue;
     unsigned long long u = 0, v = 0;
-    if (std::sscanf(line.c_str() + i, "%llu %llu", &u, &v) != 2) return lineno;
-    if (u > kInvalidNode - 1 || v > kInvalidNode - 1) return lineno;
-    builder.AddEdgeAutoGrow(static_cast<NodeId>(u), static_cast<NodeId>(v));
+    if (std::sscanf(line.c_str() + i, "%llu %llu", &u, &v) != 2 ||
+        u > kInvalidNode - 1 || v > kInvalidNode - 1) {
+      return Status::CorruptData(where + "bad edge at line " +
+                                 std::to_string(lineno));
+    }
+    edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
+    num_nodes = std::max<size_t>(num_nodes, std::max(u, v) + 1);
   }
-  return 0;
+  const uint64_t id_limit = kIdSlack + kIdsPerEdgeLine * edges.size();
+  if (num_nodes > id_limit) {
+    return Status::CorruptData(
+        where + "node id " + std::to_string(num_nodes - 1) + " is not below " +
+        std::to_string(id_limit) + " (2^20 + 16 per edge line)");
+  }
+  GraphBuilder builder(num_nodes);
+  for (const auto& [u, v] : edges) builder.AddEdge(u, v);
+  return builder.Build();
 }
 
 }  // namespace
@@ -37,23 +60,12 @@ size_t ParseEdgesInto(std::istream& in, GraphBuilder& builder) {
 Result<Graph> LoadEdgeList(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open " + path);
-  GraphBuilder builder;
-  const size_t bad_line = ParseEdgesInto(in, builder);
-  if (bad_line != 0) {
-    return Status::CorruptData(path + ": bad edge at line " +
-                               std::to_string(bad_line));
-  }
-  return builder.Build();
+  return ParseEdges(in, path + ": ");
 }
 
 Result<Graph> ParseEdgeList(const std::string& text) {
   std::istringstream in(text);
-  GraphBuilder builder;
-  const size_t bad_line = ParseEdgesInto(in, builder);
-  if (bad_line != 0) {
-    return Status::CorruptData("bad edge at line " + std::to_string(bad_line));
-  }
-  return builder.Build();
+  return ParseEdges(in, "");
 }
 
 Status SaveEdgeList(const Graph& g, const std::string& path) {

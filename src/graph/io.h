@@ -17,7 +17,9 @@
 
 namespace qpgc {
 
-/// Loads a graph from a SNAP-style edge list file.
+/// Loads a graph from a SNAP-style edge list file. Fails with CORRUPT_DATA
+/// on a malformed line, or, before allocating per-node storage, when the
+/// largest node id is at least 2^20 + 16 x (number of edge lines).
 Result<Graph> LoadEdgeList(const std::string& path);
 
 /// Writes a graph as an edge list (with a header comment).
@@ -29,7 +31,7 @@ Status LoadLabels(Graph& g, const std::string& path);
 /// Writes node labels ("u label" per line).
 Status SaveLabels(const Graph& g, const std::string& path);
 
-/// Parses an edge list from a string (for tests).
+/// Parses an edge list from a string (for tests), as LoadEdgeList does.
 Result<Graph> ParseEdgeList(const std::string& text);
 
 }  // namespace qpgc

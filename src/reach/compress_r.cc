@@ -7,11 +7,11 @@
 
 namespace qpgc {
 
-ReachCompression CompressR(const Graph& g, const CompressROptions& options) {
-  // Freeze once, sweep flat: the whole batch pipeline (SCC, equivalence
-  // refinement, quotient construction) is read-only over adjacency.
+ReachCompression CompressR(const Graph& g) {
+  // Freeze once, sweep flat: the whole batch pipeline (SCC, TR sweep,
+  // quotient construction) is read-only over adjacency.
   const CsrGraph frozen(g);
-  return CompressR<CsrGraph>(frozen, options);
+  return CompressR<CsrGraph>(frozen);
 }
 
 size_t ReachCompression::MemoryBytes() const {

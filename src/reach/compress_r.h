@@ -1,9 +1,11 @@
 // Copyright 2026 The QPGC Authors.
 //
 // compressR (Section 3.2): the reachability preserving compression function
-// R. Pipeline: SCC condensation (the paper's optimization) -> reachability
-// equivalence classes -> quotient graph -> unique transitive reduction of
-// the class DAG (the paper's lines 6-8 insert no redundant edge).
+// R. Pipeline: SCC condensation (the paper's optimization) -> transitive
+// reduction (TR) of the condensation DAG -> reachability equivalence
+// classes, the TR's twins (reach/equivalence.h) -> Gr, the class image of
+// the TR plus cyclic self-loops: the unique TR of the class quotient (the
+// paper's lines 6-8 insert no redundant edge) without a second reduction.
 //
 // The artifact bundles everything <R, F> needs at query time: the compressed
 // graph Gr, the node map R(v) = [v]_Re (for F, O(1) rewriting), the inverse
@@ -23,6 +25,8 @@
 #include <vector>
 
 #include "graph/builder.h"
+#include "graph/condensation.h"
+#include "graph/csr.h"
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 #include "graph/reduction.h"
@@ -30,15 +34,6 @@
 #include "reach/equivalence.h"
 
 namespace qpgc {
-
-/// Options for compressR.
-struct CompressROptions {
-  /// Column-block width for the blocked closure refinement.
-  size_t block_cols = 8192;
-  /// Apply the transitive reduction to the class DAG (the paper does; turn
-  /// off to study its effect — see bench/ ablation).
-  bool transitive_reduction = true;
-};
 
 /// The reachability preserving compression of a graph.
 struct ReachCompression {
@@ -81,36 +76,45 @@ struct ReachCompression {
 };
 
 /// Computes Gr = R(G) from any read-only view. Exact; equivalent to the
-/// paper's quadratic algorithm but runs on the condensation with blocked
-/// bitsets.
+/// paper's quadratic algorithm but runs on the condensation with one blocked
+/// TR sweep.
 template <GraphView G>
-ReachCompression CompressR(const G& g, const CompressROptions& options = {}) {
+ReachCompression CompressR(const G& g) {
   ReachCompression rc;
   rc.original_num_nodes = g.num_nodes();
   rc.original_size = ViewSize(g);
 
-  ReachPartition part = ComputeReachEquivalence(g, options.block_cols);
+  const Condensation cond = BuildCondensation(g);
+  const CsrGraph tr = ReduceDag(cond.dag);
+  ReachPartition part = reach_detail::ExpandToNodes(
+      g.num_nodes(), cond, reach_detail::TwinClasses(tr, cond.scc.cyclic));
   rc.node_map = std::move(part.class_of);
   rc.members = std::move(part.members);
   rc.cyclic = std::move(part.cyclic);
   const size_t nc = part.num_classes;
 
-  // Quotient edges. Intra-class edges can only occur inside a cyclic class
-  // (one SCC); they are represented by that class's self-loop.
-  GraphBuilder builder(nc);
-  for (NodeId c = 0; c < nc; ++c) {
-    if (rc.cyclic[c]) builder.AddEdge(c, c);
+  // Intra-class edges occur only inside a cyclic class (one SCC), as its
+  // self-loop. The quotient is the class image of every condensation edge
+  // (every class-level edge of G), and Gr the image of the TR edges.
+  std::vector<NodeId> dag_class(cond.dag.num_nodes());
+  for (NodeId a = 0; a < dag_class.size(); ++a) {
+    dag_class[a] = rc.node_map[cond.scc.members[a][0]];
   }
-  ForEachEdge(g, [&](NodeId u, NodeId v) {
-    const NodeId cu = rc.node_map[u];
-    const NodeId cv = rc.node_map[v];
-    if (cu != cv) builder.AddEdge(cu, cv);
+  GraphBuilder quotient_builder(nc);
+  GraphBuilder gr_builder(nc);
+  for (NodeId c = 0; c < nc; ++c) {
+    if (!rc.cyclic[c]) continue;
+    quotient_builder.AddEdge(c, c);
+    gr_builder.AddEdge(c, c);
+  }
+  cond.dag.ForEachEdge([&](NodeId a, NodeId b) {
+    quotient_builder.AddEdge(dag_class[a], dag_class[b]);
   });
-  rc.quotient = builder.Build();
-
-  rc.gr = options.transitive_reduction
-              ? TransitiveReductionDag(rc.quotient, options.block_cols)
-              : rc.quotient;
+  ForEachEdge(tr, [&](NodeId a, NodeId b) {
+    gr_builder.AddEdge(dag_class[a], dag_class[b]);
+  });
+  rc.quotient = quotient_builder.Build();
+  rc.gr = gr_builder.Build();
   rc.ranks = DagTopoRanks(rc.gr);
   return rc;
 }
@@ -118,7 +122,7 @@ ReachCompression CompressR(const G& g, const CompressROptions& options = {}) {
 /// Batch entry point for the dynamic Graph: freezes a CsrGraph snapshot
 /// once, then runs the pipeline above on the flat layout. Defined in
 /// compress_r.cc.
-ReachCompression CompressR(const Graph& g, const CompressROptions& options = {});
+ReachCompression CompressR(const Graph& g);
 
 }  // namespace qpgc
 

@@ -3,11 +3,11 @@
 #include "reach/equivalence.h"
 
 #include <algorithm>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 
 #include "graph/closure.h"
-#include "graph/topology.h"
 #include "util/bitset.h"
 #include "util/hash.h"
 #include "util/lifetime_annotations.h"
@@ -16,9 +16,9 @@ namespace qpgc {
 
 namespace {
 
-// Key for refinement: (current class, exact row bytes). Keying on the exact
-// bytes (not a hash of them) guarantees no two distinct profiles ever land in
-// the same class.
+// Key for the reference computation's refinement: (current class, exact row
+// bytes). Keying on the exact bytes (not a hash of them) guarantees no two
+// distinct profiles ever land in the same class.
 struct QPGC_GSL_POINTER RefineKey {
   NodeId cls;
   std::string_view bytes;  // borrows the row storage of the BitMatrix
@@ -50,31 +50,46 @@ size_t RefineByRows(const BitMatrix& rows, std::vector<NodeId>& cls) {
   return next_id;
 }
 
+// Key for grouping acyclic condensation nodes: their TR children and TR
+// parents, compared element by element. The hash only picks the bucket.
+struct QPGC_GSL_POINTER TwinKey {
+  std::span<const NodeId> children;  // borrows the TR's adjacency
+  std::span<const NodeId> parents;
+  bool operator==(const TwinKey& o) const {
+    return std::ranges::equal(children, o.children) &&
+           std::ranges::equal(parents, o.parents);
+  }
+};
+struct TwinKeyHash {
+  size_t operator()(const TwinKey& k) const {
+    uint64_t h = Mix64(k.children.size());
+    for (const NodeId c : k.children) h = HashCombine(h, c);
+    for (const NodeId p : k.parents) h = HashCombine(h, p);
+    return static_cast<size_t>(h);
+  }
+};
+
 }  // namespace
 
 namespace reach_detail {
 
-std::vector<NodeId> PartitionDagNodes(const Graph& dag,
-                                      const std::vector<uint8_t>& cyclic,
-                                      size_t block_cols) {
-  const size_t n = dag.num_nodes();
-  std::vector<NodeId> cls(n, 0);
-  if (n == 0) return cls;
-  block_cols = std::min(block_cols, n);
-
-  const std::vector<NodeId> rev_topo = ReverseTopologicalOrder(dag);
-  const std::vector<NodeId> topo = TopologicalOrder(dag);
-
-  BitMatrix block(n, block_cols);
-  for (int pass = 0; pass < 2; ++pass) {
-    const Direction dir = pass == 0 ? Direction::kForward : Direction::kBackward;
-    const std::vector<NodeId>& order = pass == 0 ? rev_topo : topo;
-    for (size_t start = 0; start < n; start += block_cols) {
-      const size_t cols = std::min(block_cols, n - start);
-      if (cols != block.cols()) block = BitMatrix(n, cols);
-      BlockDescendants(dag, order, cyclic, start, cols, dir, block);
-      RefineByRows(block, cls);
+std::vector<NodeId> TwinClasses(const CsrGraph& tr,
+                                const std::vector<uint8_t>& cyclic) {
+  const size_t n = tr.num_nodes();
+  std::unordered_map<TwinKey, NodeId, TwinKeyHash> ids;
+  ids.reserve(n);
+  std::vector<NodeId> cls(n);
+  NodeId next_id = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    if (cyclic[u]) {
+      cls[u] = next_id++;
+      continue;
     }
+    const auto [it, inserted] =
+        ids.try_emplace(TwinKey{tr.OutNeighbors(u), tr.InNeighbors(u)},
+                        next_id);
+    if (inserted) ++next_id;
+    cls[u] = it->second;
   }
   return cls;
 }
@@ -119,8 +134,8 @@ ReachPartition ComputeReachEquivalence(const Graph& g, size_t block_cols) {
 
 ReachPartition ComputeReachEquivalenceRef(const Graph& g) {
   const size_t n = g.num_nodes();
-  // Non-empty-path closures in both directions; a node on a cycle naturally
-  // appears in its own row, matching the augmented definition.
+  // Non-empty-path closures in both directions; a node on a cycle appears in
+  // its own row, which keeps it apart from every node off that cycle.
   const BitMatrix desc = FullClosure(g, Direction::kForward);
   const BitMatrix anc = FullClosure(g, Direction::kBackward);
 

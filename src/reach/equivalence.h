@@ -6,21 +6,27 @@
 // requires this: BSA1 ~ BSA2 although neither reaches the other; under
 // reflexive semantics Re would degenerate to SCC equality).
 //
-// Structure theorem (used by the fast algorithm; property-tested):
+// Structure theorem (property-tested against the reference below):
 //   Every Re-class is either (a) exactly one cyclic SCC, or (b) a set of
-//   trivial (acyclic) SCC nodes with equal "augmented" ancestor/descendant
-//   sets on the condensation DAG, where augmentation seeds a cyclic node's
-//   own bit.
-//   Proof sketch for (a): if u lies on a cycle then u ∈ desc(u) = desc(v)
-//   and u ∈ anc(u) = anc(v), so u and v reach each other — same SCC.
+//   acyclic SCC nodes with equal ancestor and descendant sets on the
+//   condensation DAG.
+//   Proof of (a): if u lies on a cycle then u ∈ desc(u) = desc(v) and
+//   u ∈ anc(u) = anc(v), so u and v reach each other — same SCC. So cyclic
+//   SCCs stay singleton classes and are kept out of the grouping in (b).
+//
+// TR characterization, which decides (b): on a DAG the transitive-reduction
+// (TR) children of u are the minimal elements of desc(u), and desc(u) is
+// the union of {c} ∪ desc(c) over those children. So desc(u) = desc(v) iff
+// u and v have the same TR children; dually for ancestors and TR parents.
+// Two acyclic condensation nodes are Re-equivalent iff they have the same
+// TR children and the same TR parents: every class is a set of TR twins,
+// which is why compressR's Gr is the class image of the TR.
 //
 // Two implementations:
-//  * ComputeReachEquivalence — condensation + exact partition refinement on
-//    blocked descendant/ancestor bitsets (refinement keys on raw row bytes,
-//    so no hash-collision risk). O(|E_dag| * |V_dag| / 64) word ops with
-//    O(|V_dag| * block_cols / 8) working memory. Templated over GraphView:
-//    only the SCC condensation reads the input; the refinement runs on the
-//    (small) condensation DAG.
+//  * ComputeReachEquivalence — condensation, one O(|E_dag| * |V_dag| / 64)
+//    blocked TR sweep of its DAG (graph/reduction.h), then acyclic nodes
+//    grouped by exact equality of their sorted (TR children, TR parents)
+//    arrays; a hash only picks the bucket.
 //  * ComputeReachEquivalenceRef — the paper's own O(|V|(|V| + |E|)) method
 //    (per-node BFS for ancestor and descendant sets), used as ground truth.
 
@@ -31,8 +37,10 @@
 #include <vector>
 
 #include "graph/condensation.h"
+#include "graph/csr.h"
 #include "graph/graph.h"
 #include "graph/graph_view.h"
+#include "graph/reduction.h"
 
 namespace qpgc {
 
@@ -54,10 +62,11 @@ struct ReachPartition {
 
 namespace reach_detail {
 
-/// Groups DAG nodes by augmented ancestor AND descendant profiles.
-std::vector<NodeId> PartitionDagNodes(const Graph& dag,
-                                      const std::vector<uint8_t>& cyclic,
-                                      size_t block_cols);
+/// Groups the condensation's nodes into Re classes, given its transitive
+/// reduction `tr`: each cyclic node alone, acyclic nodes by their (TR
+/// children, TR parents). Class ids are not dense.
+std::vector<NodeId> TwinClasses(const CsrGraph& tr,
+                                const std::vector<uint8_t>& cyclic);
 
 /// Renumbers classes to be dense in order of first appearance and expands a
 /// per-DAG-node partition to original nodes via the SCC map.
@@ -66,18 +75,19 @@ ReachPartition ExpandToNodes(size_t num_nodes, const Condensation& cond,
 
 }  // namespace reach_detail
 
-/// Fast exact computation (condensation + blocked refinement).
+/// Fast exact computation (condensation + one blocked TR sweep).
 template <GraphView G>
-ReachPartition ComputeReachEquivalence(const G& g, size_t block_cols = 8192) {
+ReachPartition ComputeReachEquivalence(const G& g,
+                                       size_t block_cols = kReduceBlockCols) {
   const Condensation cond = BuildCondensation(g);
-  const std::vector<NodeId> dag_cls =
-      reach_detail::PartitionDagNodes(cond.dag, cond.scc.cyclic, block_cols);
-  return reach_detail::ExpandToNodes(g.num_nodes(), cond, dag_cls);
+  const CsrGraph tr = ReduceDag(cond.dag, block_cols);
+  return reach_detail::ExpandToNodes(
+      g.num_nodes(), cond, reach_detail::TwinClasses(tr, cond.scc.cyclic));
 }
 
 /// Non-template Graph overload (compiled once in equivalence.cc).
 ReachPartition ComputeReachEquivalence(const Graph& g,
-                                       size_t block_cols = 8192);
+                                       size_t block_cols = kReduceBlockCols);
 
 /// Reference computation (the paper's per-node BFS algorithm).
 ReachPartition ComputeReachEquivalenceRef(const Graph& g);

@@ -120,7 +120,7 @@ void SnapshotManager::Slot::store(std::shared_ptr<const ServingSnapshot> p) {
 SnapshotManager::SnapshotManager(Graph g, SnapshotManagerOptions options)
     : g_(std::move(g)),
       options_(std::move(options)),
-      rc_(CompressR(g_, options_.reach_options)),
+      rc_(CompressR(g_)),
       pc_(CompressB(g_)),
       pool_(std::make_shared<BufferPool>()) {
   Publish();  // version 1: Acquire() never returns null

@@ -108,7 +108,6 @@ struct PublishPolicy {
 
 struct SnapshotManagerOptions {
   PublishPolicy policy = PublishPolicy::Manual();
-  CompressROptions reach_options;
   /// Sharded serving hook: called on the writer path inside Publish() to
   /// capture the shard's current boundary-exit set (sorted ascending,
   /// immutable, shared by pointer across versions whose membership did not

@@ -54,6 +54,23 @@ TEST(IoTest, ParseRejectsGarbage) {
   EXPECT_NE(r.status().message().find("line 2"), std::string::npos);
 }
 
+TEST(IoTest, ParseRejectsNodeIdOutOfProportion) {
+  // One line naming id 4e9 would size the graph at 4e9 nodes; the parser
+  // refuses before allocating them.
+  const auto huge = ParseEdgeList("0 4000000000\n");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kCorruptData);
+  // The bound is 2^20 + 16 per edge line: one line allows ids below
+  // 2^20 + 16, two lines below 2^20 + 32. Comments are not edge lines.
+  const auto edge = ParseEdgeList("0 1048591\n");
+  ASSERT_TRUE(edge.ok());
+  EXPECT_EQ(edge.value().num_nodes(), 1048592u);
+  EXPECT_FALSE(ParseEdgeList("0 1048592\n").ok());
+  EXPECT_FALSE(ParseEdgeList("# comment\n0 1048592\n").ok());
+  EXPECT_FALSE(ParseEdgeList("0 1048608\n1 2\n").ok());
+  EXPECT_TRUE(ParseEdgeList("").ok());
+}
+
 TEST(IoTest, RoundTripThroughFile) {
   Graph g(4);
   g.AddEdge(0, 1);

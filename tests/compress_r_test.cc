@@ -2,8 +2,13 @@
 
 #include "reach/compress_r.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
+#include "gen/adversarial.h"
+#include "gen/dataset_catalog.h"
+#include "gen/random_models.h"
 #include "gen/uniform.h"
 #include "graph/closure.h"
 #include "graph/topology.h"
@@ -54,15 +59,17 @@ TEST(CompressRTest, QuotientEdgesTransitivelyReduced) {
   EXPECT_EQ(rc.gr.num_edges(), 2u);  // shortcut removed
 }
 
-TEST(CompressRTest, ReductionCanBeDisabled) {
+TEST(CompressRTest, QuotientKeepsRedundantEdges) {
+  // The quotient is Gr before the transitive reduction: same classes, and
+  // the shortcut 0 -> 2 survives there.
   Graph g(3);
   g.AddEdge(0, 1);
   g.AddEdge(1, 2);
   g.AddEdge(0, 2);
-  CompressROptions options;
-  options.transitive_reduction = false;
-  const ReachCompression rc = CompressR(g, options);
-  EXPECT_EQ(rc.gr.num_edges(), 3u);
+  const ReachCompression rc = CompressR(g);
+  EXPECT_EQ(rc.quotient.num_nodes(), rc.gr.num_nodes());
+  EXPECT_EQ(rc.quotient.num_edges(), 3u);
+  EXPECT_EQ(rc.gr.num_edges(), 2u);
 }
 
 TEST(CompressRTest, NodeMapAndMembersConsistent) {
@@ -109,6 +116,25 @@ TEST_P(CompressRPreservationTest, ClosurePreserved) {
   }
 }
 
+// Gr is the unique transitive reduction of the quotient: every Gr edge is a
+// quotient edge, and no edge (c, d) has another child w of c reaching d.
+TEST_P(CompressRPreservationTest, GrIsMinimal) {
+  const uint64_t seed = GetParam();
+  const Graph g = GenerateUniform(60, 60 + (seed * 37) % 240, 1, seed);
+  const ReachCompression rc = CompressR(g);
+  const BitMatrix gr_closure = FullClosure(rc.gr);
+  rc.gr.ForEachEdge([&](NodeId c, NodeId d) {
+    EXPECT_TRUE(rc.quotient.HasEdge(c, d)) << "seed=" << seed;
+    if (c == d) return;
+    for (const NodeId w : rc.gr.OutNeighbors(c)) {
+      if (w == c || w == d) continue;
+      EXPECT_FALSE(gr_closure.Test(w, d))
+          << "seed=" << seed << " edge (" << c << "," << d
+          << ") is implied through " << w;
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CompressRPreservationTest,
                          ::testing::Range<uint64_t>(1, 13));
 
@@ -120,6 +146,62 @@ TEST(CompressRTest, EmptyAndEdgeless) {
   const ReachCompression rc1 = CompressR(edgeless);
   EXPECT_EQ(rc1.gr.num_nodes(), 1u);  // all nodes equivalent
   EXPECT_EQ(rc1.gr.num_edges(), 0u);
+}
+
+// FNV-1a over 64-bit words, written out here so the pinned values below
+// depend on nothing but this file.
+struct Fnv1a {
+  uint64_t h = 0xcbf29ce484222325ull;
+  void Add(uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void Add(const Graph& g) {
+    Add(g.num_nodes());
+    Add(g.num_edges());
+    g.ForEachEdge([&](NodeId u, NodeId v) {
+      Add(u);
+      Add(v);
+    });
+  }
+};
+
+uint64_t Digest(const ReachCompression& rc) {
+  Fnv1a f;
+  f.Add(rc.node_map.size());
+  for (const NodeId c : rc.node_map) f.Add(c);
+  f.Add(rc.gr);
+  f.Add(rc.quotient);
+  for (const uint8_t c : rc.cyclic) f.Add(c);
+  for (const uint32_t r : rc.ranks) f.Add(r);
+  return f.h;
+}
+
+// compressR's output, pinned on the served graphs of the end-to-end
+// benchmark and on two larger DAGs. The digests were taken with the
+// two-pass row-refinement equivalence and the sibling-test reduction that
+// the one-pass transitive-reduction pipeline replaced; any change to the
+// classes, their numbering, Gr, the quotient or the ranks shows here.
+TEST(CompressRTest, OutputDigestsArePinned) {
+  struct Case {
+    const char* name;
+    Graph g;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"social", PreferentialAttachment(20000, 4, 0.45, 13),
+       0x21d5436bf087e553ull},
+      {"grid", DirectedGrid(141, 141), 0xed99bd6ab391c5f7ull},
+      {"citation", MakeDataset(FindPatternDataset("Citation")),
+       0xca5799ef7681d8f2ull},
+      {"citation_dag", CitationDag(20000, 5, 0.5, 3), 0xf570e70beffdd692ull},
+      {"layered", LayeredRandom(20000, 6, 3, 0.05, 7), 0xbff6caffc865481full},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(Digest(CompressR(c.g)), c.digest) << c.name;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include "graph/reduction.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "gen/uniform.h"
@@ -57,8 +59,8 @@ TEST(ReductionTest, PreservesClosure) {
     const Graph g = GenerateUniform(60, 220, 1, seed);
     const Graph dag = BuildCondensation(g).dag;
     const Graph r = TransitiveReductionDag(dag, /*block_cols=*/13);
-    const BitMatrix before = DagClosure(dag, {});
-    const BitMatrix after = DagClosure(r, {});
+    const BitMatrix before = FullClosure(dag);
+    const BitMatrix after = FullClosure(r);
     for (NodeId u = 0; u < dag.num_nodes(); ++u) {
       for (NodeId v = 0; v < dag.num_nodes(); ++v) {
         EXPECT_EQ(before.Test(u, v), after.Test(u, v)) << "seed " << seed;
@@ -72,22 +74,54 @@ TEST(ReductionTest, ReductionIsMinimal) {
   const Graph g = GenerateUniform(30, 80, 1, 9);
   const Graph dag = BuildCondensation(g).dag;
   Graph r = TransitiveReductionDag(dag);
-  const BitMatrix closure = DagClosure(r, {});
   for (const auto& [u, v] : r.EdgeList()) {
     if (u == v) continue;
     Graph pruned = r;
     pruned.RemoveEdge(u, v);
-    const BitMatrix c2 = DagClosure(pruned, {});
+    const BitMatrix c2 = FullClosure(pruned);
     EXPECT_FALSE(c2.Test(u, v)) << "edge (" << u << "," << v
                                 << ") was redundant in the reduction";
   }
 }
 
-TEST(ReductionTest, CountMatchesMaterialized) {
-  const Graph g = GenerateUniform(50, 200, 1, 10);
+TEST(ReductionTest, BlockedSweepEqualsFullWidth) {
+  // Every block width, down to one column, yields the full-width reduction,
+  // and the frozen reduction's in-direction lists the TR parents.
+  const Graph g = GenerateUniform(70, 200, 1, 8);
   const Graph dag = BuildCondensation(g).dag;
-  const Graph r = TransitiveReductionDag(dag);
-  EXPECT_EQ(CountRedundantEdgesDag(dag), dag.num_edges() - r.num_edges());
+  const CsrGraph reference = ReduceDag(dag, dag.num_nodes());
+  for (const size_t block : {1, 7, 17, 64}) {
+    const CsrGraph tr = ReduceDag(dag, block);
+    for (NodeId u = 0; u < dag.num_nodes(); ++u) {
+      EXPECT_TRUE(std::ranges::equal(tr.OutNeighbors(u),
+                                     reference.OutNeighbors(u)))
+          << "block " << block << " node " << u;
+      for (const NodeId p : tr.InNeighbors(u)) {
+        EXPECT_TRUE(std::ranges::binary_search(tr.OutNeighbors(p), u));
+      }
+    }
+    EXPECT_EQ(tr.num_edges(), reference.num_edges());
+  }
+}
+
+TEST(ReductionTest, ReduceDagMatchesClosureDefinition) {
+  // (u, v) is a TR edge iff it is an edge and no other child of u reaches v.
+  for (uint64_t seed = 11; seed <= 14; ++seed) {
+    const Graph dag = BuildCondensation(GenerateUniform(50, 180, 1, seed)).dag;
+    const BitMatrix closure = FullClosure(dag);
+    const CsrGraph tr = ReduceDag(dag, /*block_cols=*/9);
+    for (NodeId u = 0; u < dag.num_nodes(); ++u) {
+      for (const NodeId v : dag.OutNeighbors(u)) {
+        bool redundant = false;
+        for (const NodeId w : dag.OutNeighbors(u)) {
+          redundant = redundant || (w != v && closure.Test(w, v));
+        }
+        EXPECT_EQ(std::ranges::binary_search(tr.OutNeighbors(u), v),
+                  !redundant)
+            << "seed " << seed << " edge (" << u << "," << v << ")";
+      }
+    }
+  }
 }
 
 TEST(ReductionTest, EmptyGraph) {
