@@ -6,18 +6,13 @@
 
 namespace qpgc {
 
-CsrGraph::CsrGraph() { Refreeze(Graph(0)); }
+CsrGraph::CsrGraph() : out_offsets_(1, 0), in_offsets_(1, 0) {}
 
-CsrGraph::CsrGraph(const Graph& g) { Refreeze(g); }
-
-void CsrGraph::Refreeze(const Graph& g) {
+CsrGraph::CsrGraph(const Graph& g)
+    : out_offsets_(g.num_nodes() + 1),
+      in_offsets_(g.num_nodes() + 1),
+      labels_(g.labels().begin(), g.labels().end()) {
   const size_t n = g.num_nodes();
-  labels_.assign(g.labels().begin(), g.labels().end());
-
-  out_offsets_.resize(n + 1);
-  in_offsets_.resize(n + 1);
-  out_targets_.clear();
-  in_targets_.clear();
   out_targets_.reserve(g.num_edges());
   in_targets_.reserve(g.num_edges());
   for (NodeId u = 0; u < n; ++u) {

@@ -29,22 +29,16 @@ namespace qpgc {
 
 /// Immutable CSR snapshot of a Graph (both directions, labels copied).
 /// GSL Owner: neighbor spans point into the flat arrays this object owns —
-/// valid until it is destroyed or refrozen (docs/LIFETIMES.md; the serving
-/// layer keeps them valid by pinning the enclosing frozen side).
+/// valid until it is destroyed or reassigned (docs/LIFETIMES.md; the
+/// serving layer keeps them valid by pinning the snapshot that owns the
+/// enclosing frozen side).
 class QPGC_GSL_OWNER CsrGraph {
  public:
-  /// An empty snapshot (0 nodes); a buffer to Refreeze into later.
+  /// An empty snapshot (0 nodes).
   CsrGraph();
 
   /// Freezes a snapshot of g.
   explicit CsrGraph(const Graph& g);
-
-  /// Re-freezes this snapshot from g in place, reusing the existing arrays'
-  /// capacity. This is what lets a serving publish cycle recycle a retired
-  /// snapshot buffer instead of paying a fresh allocation per version
-  /// (serve/snapshot_manager.h); semantically identical to `*this =
-  /// CsrGraph(g)`.
-  void Refreeze(const Graph& g);
 
   /// Re-freezes this snapshot from the subgraph of g induced by the nodes
   /// with remap[v] != kInvalidNode, renumbered through remap (which must be
@@ -54,7 +48,7 @@ class QPGC_GSL_OWNER CsrGraph {
   /// to a dropped one is appended to it as (new source id, ORIGINAL target
   /// id) — collected in the same traversal so callers that need them (the
   /// frozen pattern side's ghost-directed cross edges, serve/snapshot.h)
-  /// do not pay a second sweep. Reuses array capacity like Refreeze.
+  /// do not pay a second sweep.
   void RefreezeMapped(
       const Graph& g, const std::vector<NodeId>& remap, size_t new_n,
       std::vector<std::pair<NodeId, NodeId>>* dropped_out_edges = nullptr);
@@ -65,7 +59,7 @@ class QPGC_GSL_OWNER CsrGraph {
   /// in-direction in one counting pass. This is the freeze path for code
   /// that already produces flat sorted adjacency — the router's stitched
   /// quotient assembler (serve/router.cc) — and skips the dynamic-Graph
-  /// round trip of Refreeze.
+  /// round trip of the Graph constructor.
   void AdoptCsr(std::vector<uint64_t> out_offsets,
                 std::vector<NodeId> out_targets, std::vector<Label> labels);
 

@@ -38,8 +38,8 @@
 // router falls back to a live quotient sweep, preserving exactness.
 //
 // Lifecycle and thread safety match the frozen sides in serve/snapshot.h:
-// built by the owning shard's writer inside Publish() on a buffer no
-// reader can observe, immutable afterwards, shared by pointer across
+// built fresh by the owning shard's writer inside Publish() before any
+// reader can observe it, immutable afterwards, shared by pointer across
 // versions whose reach side, exit set, and entry set all carried over.
 
 #ifndef QPGC_SERVE_BOUNDARY_SUMMARY_H_

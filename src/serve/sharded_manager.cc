@@ -9,37 +9,38 @@
 
 namespace qpgc {
 
-std::shared_ptr<const std::vector<NodeId>>
-ShardedSnapshotManager::ExitTable::Current() {
+namespace {
+
+// The sorted keys of a live refcount map, shared by pointer and rebuilt only
+// when `dirty` says the membership changed since the last call.
+std::shared_ptr<const std::vector<NodeId>> SortedKeys(
+    const std::unordered_map<NodeId, uint32_t>& refcount,
+    std::shared_ptr<const std::vector<NodeId>>& published, bool& dirty) {
   if (dirty) {
-    auto exits = std::make_shared<std::vector<NodeId>>();
-    exits->reserve(refcount.size());
+    auto keys = std::make_shared<std::vector<NodeId>>();
+    keys->reserve(refcount.size());
     for (const auto& [v, count] : refcount) {
       QPGC_DCHECK(count > 0);
-      exits->push_back(v);
+      keys->push_back(v);
     }
-    std::sort(exits->begin(), exits->end());
-    published = std::move(exits);
+    std::sort(keys->begin(), keys->end());
+    published = std::move(keys);
     dirty = false;
   }
   return published;
 }
 
+}  // namespace
+
+std::shared_ptr<const std::vector<NodeId>>
+ShardedSnapshotManager::ExitTable::Current() {
+  return SortedKeys(refcount, published, dirty);
+}
+
 std::shared_ptr<const std::vector<NodeId>>
 ShardedSnapshotManager::EntryTable::Current() {
   MutexLock lock(mu);
-  if (dirty) {
-    auto entries = std::make_shared<std::vector<NodeId>>();
-    entries->reserve(refcount.size());
-    for (const auto& [v, count] : refcount) {
-      QPGC_DCHECK(count > 0);
-      entries->push_back(v);
-    }
-    std::sort(entries->begin(), entries->end());
-    published = std::move(entries);
-    dirty = false;
-  }
-  return published;
+  return SortedKeys(refcount, published, dirty);
 }
 
 ShardedSnapshotManager::ShardedSnapshotManager(const Graph& g,

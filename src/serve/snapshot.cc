@@ -11,10 +11,7 @@
 namespace qpgc {
 
 void FrozenReachSide::Fill(const ReachCompression& rc) {
-  // Copy-assignment reuses the destination buffers' capacity; Refreeze does
-  // the same for the CSR arrays. Steady-state publishing therefore recycles
-  // a retired side's allocations wholesale.
-  gr.Refreeze(rc.gr);
+  gr = CsrGraph(rc.gr);
   node_map = rc.node_map;
 }
 
@@ -57,7 +54,7 @@ void FrozenPatternSide::Fill(const PatternCompression& pc) {
     // No ghost blocks (every unsharded manager, and a K = 1 sharded one):
     // the permutation is the identity, so skip the per-edge remap in favor
     // of the bulk-copy freeze and plain map/member copies.
-    gr.Refreeze(pc.gr);
+    gr = CsrGraph(pc.gr);
     node_map = pc.node_map;
     member_offsets.assign(num_blocks + 1, 0);
     for (size_t c = 0; c < num_blocks; ++c) {
@@ -116,39 +113,17 @@ size_t FrozenPatternSide::MemoryBytes() const {
          VectorBytes(cross_edges);
 }
 
-void ServingSnapshot::Freeze(uint64_t version, const ReachCompression& rc,
-                             const PatternCompression& pc) {
-  version_ = version;
-  // Fresh sides every time: this standalone path never mutates state that
-  // another snapshot could share. Pooled buffer recycling is the manager's
-  // publish path (Fill into pooled side buffers, then Adopt).
-  auto reach = std::make_shared<FrozenReachSide>();
-  reach->Fill(rc);
-  reach_ = std::move(reach);
-  auto pattern = std::make_shared<FrozenPatternSide>();
-  pattern->Fill(pc);
-  pattern_ = std::move(pattern);
-  boundary_exits_.reset();
-  boundary_summary_.reset();
-  exit_block_.clear();
-  block_exit_offsets_.clear();
-  block_exit_index_.clear();
-}
-
-void ServingSnapshot::Adopt(
+ServingSnapshot::ServingSnapshot(
     uint64_t version, std::shared_ptr<const FrozenReachSide> reach,
     std::shared_ptr<const FrozenPatternSide> pattern,
     std::shared_ptr<const std::vector<NodeId>> boundary_exits,
-    std::shared_ptr<const FrozenBoundarySummary> boundary_summary) {
-  QPGC_CHECK(reach != nullptr && pattern != nullptr);
-  version_ = version;
-  reach_ = std::move(reach);
-  pattern_ = std::move(pattern);
-  boundary_exits_ = std::move(boundary_exits);
-  boundary_summary_ = std::move(boundary_summary);
-  exit_block_.clear();
-  block_exit_offsets_.clear();
-  block_exit_index_.clear();
+    std::shared_ptr<const FrozenBoundarySummary> boundary_summary)
+    : version_(version),
+      reach_(std::move(reach)),
+      pattern_(std::move(pattern)),
+      boundary_exits_(std::move(boundary_exits)),
+      boundary_summary_(std::move(boundary_summary)) {
+  QPGC_CHECK(reach_ != nullptr && pattern_ != nullptr);
   if (boundary_exits_ != nullptr) {
     exit_block_.reserve(boundary_exits_->size());
     for (const NodeId x : *boundary_exits_) {
@@ -171,17 +146,6 @@ void ServingSnapshot::Adopt(
   }
 }
 
-void ServingSnapshot::Reset() {
-  version_ = 0;
-  reach_.reset();
-  pattern_.reset();
-  boundary_exits_.reset();
-  boundary_summary_.reset();
-  exit_block_.clear();
-  block_exit_offsets_.clear();
-  block_exit_index_.clear();
-}
-
 const std::vector<NodeId>& ServingSnapshot::boundary_exits() const {
   static const std::vector<NodeId> kEmpty;
   return boundary_exits_ == nullptr ? kEmpty : *boundary_exits_;
@@ -189,7 +153,6 @@ const std::vector<NodeId>& ServingSnapshot::boundary_exits() const {
 
 bool ServingSnapshot::Reach(NodeId u, NodeId v, PathMode mode,
                             ReachAlgorithm algo) const {
-  QPGC_CHECK(reach_ != nullptr);
   const std::vector<NodeId>& map = reach_->node_map;
   QPGC_CHECK(u < map.size() && v < map.size());
   if (mode == PathMode::kReflexive && u == v) return true;
@@ -202,7 +165,7 @@ bool ServingSnapshot::Reach(NodeId u, NodeId v, PathMode mode,
 
 namespace {
 
-// Per-thread BFS scratch for ReachManyNonEmpty: epoch-stamped visited and
+// Per-thread BFS scratch for MultiSourceSweep: epoch-stamped visited and
 // source-block arrays avoid both per-call allocation and per-call clearing.
 struct ReachScratch {
   std::vector<uint32_t> stamp;
@@ -214,7 +177,7 @@ struct ReachScratch {
 thread_local ReachScratch t_reach_scratch;
 
 // The multi-source non-empty-path BFS over a frozen quotient shared by
-// ReachManyNonEmpty and ResolveWave: stamps every quotient node reachable
+// ResolveWave and ResolveTargetBlocks: stamps every quotient node reachable
 // from the mapped sources by a path of length >= 1 with a fresh epoch
 // (a source class itself counts as reached only when some edge — its
 // self-loop for a cyclic class, or a longer cycle — comes back) and
@@ -264,25 +227,9 @@ uint32_t MultiSourceSweep(const CsrGraph& gr, const std::vector<NodeId>* map,
 
 }  // namespace
 
-void ServingSnapshot::ReachManyNonEmpty(std::span<const NodeId> sources,
-                                        std::span<const NodeId> targets,
-                                        std::vector<char>& reached) const {
-  QPGC_CHECK(reach_ != nullptr);
-  reached.assign(targets.size(), 0);
-  if (sources.empty() || targets.empty()) return;
-  const std::vector<NodeId>& map = reach_->node_map;
-  const uint32_t epoch = MultiSourceSweep(reach_->gr, &map, sources);
-  const std::vector<uint32_t>& stamp = t_reach_scratch.stamp;
-  for (size_t i = 0; i < targets.size(); ++i) {
-    QPGC_DCHECK(targets[i] < map.size());
-    reached[i] = stamp[map[targets[i]]] == epoch ? 1 : 0;
-  }
-}
-
 bool ServingSnapshot::ResolveWave(std::span<const NodeId> sources,
                                   NodeId target,
                                   std::vector<NodeId>& reached_exits) const {
-  QPGC_CHECK(reach_ != nullptr);
   reached_exits.clear();
   if (sources.empty()) return false;
   const std::vector<NodeId>& map = reach_->node_map;
@@ -303,7 +250,6 @@ bool ServingSnapshot::ResolveWave(std::span<const NodeId> sources,
 
 bool ServingSnapshot::ResolveTargetBlocks(std::span<const NodeId> source_blocks,
                                           NodeId target) const {
-  QPGC_CHECK(reach_ != nullptr);
   if (source_blocks.empty()) return false;
   const std::vector<NodeId>& map = reach_->node_map;
   const uint32_t epoch =
@@ -313,7 +259,6 @@ bool ServingSnapshot::ResolveTargetBlocks(std::span<const NodeId> source_blocks,
 }
 
 MatchResult ServingSnapshot::Match(const PatternQuery& q) const {
-  QPGC_CHECK(pattern_ != nullptr);
   // F = identity, Match on the frozen quotient, then the shared expansion P
   // over the flattened member index (ghost nodes map to kInvalidNode and
   // are skipped).
@@ -324,13 +269,11 @@ MatchResult ServingSnapshot::Match(const PatternQuery& q) const {
 }
 
 bool ServingSnapshot::BooleanMatch(const PatternQuery& q) const {
-  QPGC_CHECK(pattern_ != nullptr);
   return qpgc::BooleanMatch(pattern_->gr, q);
 }
 
 size_t ServingSnapshot::MemoryBytes() const {
-  return (reach_ == nullptr ? 0 : reach_->MemoryBytes()) +
-         (pattern_ == nullptr ? 0 : pattern_->MemoryBytes()) +
+  return reach_->MemoryBytes() + pattern_->MemoryBytes() +
          VectorBytes(boundary_exits()) +
          (boundary_summary_ == nullptr ? 0 : boundary_summary_->MemoryBytes());
 }

@@ -7,15 +7,16 @@
 // bisimulation quotient plus node map and member index (Section 4: F is the
 // identity, P expands blocks) — under a single version id.
 //
-// A snapshot is a thin shell over two independently shareable *sides*
-// (FrozenReachSide / FrozenPatternSide). Consecutive versions that only
-// moved one artifact share the untouched side's frozen arrays by pointer:
-// a reach-only update stream refreezes the reach side per publish while
+// A snapshot is an immutable value: one constructor assembles it from two
+// independently shareable *sides* (FrozenReachSide / FrozenPatternSide),
+// and nothing changes it afterwards. Consecutive versions that only moved
+// one artifact share the untouched side's frozen arrays by pointer: a
+// reach-only update stream freezes a fresh reach side per publish while
 // every version keeps pointing at the same frozen pattern side (and vice
-// versa). Sharing is transparent to readers — the shell is immutable either
-// way — and is what makes per-artifact publish cost track which dirty cone
-// actually moved (serve/snapshot_manager.h decides, from the accumulated
-// per-side incremental stats).
+// versa). Sharing is transparent to readers and is what makes per-artifact
+// publish cost track which dirty cone actually moved
+// (serve/snapshot_manager.h decides, from the accumulated per-side
+// incremental stats).
 //
 // Sharded serving additionally stamps each per-shard snapshot with its
 // *boundary-exit table* — the ghost nodes (non-owned nodes, see
@@ -27,19 +28,18 @@
 // the snapshot keeps them consistent with the frozen graph version by
 // construction; docs/SHARDING.md has the full soundness story.
 //
-// Thread-safety contract:
-//  * Writer side (Freeze / Adopt / Reset): exactly one thread, and only on
-//    a snapshot no reader can observe (the manager freezes into inactive
-//    buffers; see serve/snapshot_manager.h).
-//  * Read side (everything const): any number of threads, lock-free — all
-//    state is immutable once published. Readers pin a snapshot with a
-//    shared_ptr for the duration of a query; the snapshot (and its shared
-//    sides) stay valid for as long as any handle lives, across any number
-//    of later publishes and even past the owning manager's destruction.
+// Thread-safety contract: every member function is const and touches only
+// state fixed at construction, so any number of threads may query one
+// snapshot lock-free. Readers pin a snapshot with a shared_ptr for the
+// duration of a query; the snapshot (and its shared sides) stay valid for
+// as long as any handle lives, across any number of later publishes and
+// even past the owning manager's destruction. Whichever handle drops last
+// frees the snapshot, and with it every side no other snapshot shares.
 //
 // Lifetime contract: every span/reference accessor below hands out a view
 // into this snapshot's frozen sides, valid only while a pin on the snapshot
-// is held (the pin-scope rule, docs/LIFETIMES.md). The accessors are
+// is held (the pin-scope rule, docs/LIFETIMES.md): once the last pin drops,
+// the view points into freed memory. The accessors are
 // lifetimebound-annotated and tools/qpgc_pin_escape.py rejects the escape
 // shapes the annotations cannot see (dereferencing an unnamed pin, storing
 // a snapshot-derived view in a member).
@@ -64,13 +64,13 @@
 namespace qpgc {
 
 /// The frozen reachability artifact: CSR quotient Gr plus the node map
-/// R(v). Fill() reuses the destination arrays' capacity (CsrGraph::Refreeze
-/// + vector assign), so steady-state refreezing allocates ~nothing.
+/// R(v).
 struct FrozenReachSide {
   CsrGraph gr;
   std::vector<NodeId> node_map;
 
-  /// Writer-side fill from the maintained artifact.
+  /// Writer-side fill from the maintained artifact, replacing whatever the
+  /// side held before.
   void Fill(const ReachCompression& rc);
   /// Heap bytes held by this side.
   size_t MemoryBytes() const;
@@ -109,7 +109,8 @@ struct FrozenPatternSide {
             member_flat.data() + member_offsets[c + 1]};
   }
 
-  /// Writer-side fill from the maintained artifact.
+  /// Writer-side fill from the maintained artifact, replacing whatever the
+  /// side held before.
   void Fill(const PatternCompression& pc);
   /// Heap bytes held by this side.
   size_t MemoryBytes() const;
@@ -120,71 +121,41 @@ struct FrozenPatternSide {
 /// for the sharing and thread-safety contracts).
 class ServingSnapshot {
  public:
-  /// An empty snapshot (version 0, no sides); a buffer to Freeze() into.
-  ServingSnapshot() = default;
-
-  // --- Writer side ----------------------------------------------------------
-
-  /// Fills this snapshot from the mutable compressed state into freshly
-  /// allocated sides (the standalone convenience path; the manager's
-  /// publish path recycles pooled side buffers via Fill + Adopt instead).
-  /// Must not be called on a published snapshot.
-  void Freeze(uint64_t version, const ReachCompression& rc,
-              const PatternCompression& pc);
-
-  /// Assembles this snapshot from externally frozen (possibly shared)
-  /// sides. This is the manager's publish path: sides the update stream
-  /// left untouched are passed through from the previous version.
+  /// Assembles version `version` from frozen sides, both non-null (checked)
+  /// and possibly shared with other versions: the manager passes the sides
+  /// the update stream left untouched through from the previous version.
   /// `boundary_exits` must be sorted ascending (null or empty for
   /// unsharded serving); it is shared by pointer — consecutive versions
   /// whose exit membership did not change reuse one immutable vector.
   /// `boundary_summary` (null for unsharded serving) must have been built
   /// from the same reach side and exit table; the manager reuses the
   /// previous version's summary when all three inputs carried over.
-  void Adopt(uint64_t version, std::shared_ptr<const FrozenReachSide> reach,
-             std::shared_ptr<const FrozenPatternSide> pattern,
-             std::shared_ptr<const std::vector<NodeId>> boundary_exits,
-             std::shared_ptr<const FrozenBoundarySummary> boundary_summary =
-                 nullptr);
-
-  /// Drops this snapshot's side references (releasing any sharing) and
-  /// resets it to the empty state. Called when a retired shell returns to
-  /// the manager's buffer pool, so a pooled shell never prolongs a side's
-  /// lifetime.
-  void Reset();
-
-  // --- Read side (thread-safe: touches only immutable state) ---------------
+  ServingSnapshot(uint64_t version,
+                  std::shared_ptr<const FrozenReachSide> reach,
+                  std::shared_ptr<const FrozenPatternSide> pattern,
+                  std::shared_ptr<const std::vector<NodeId>> boundary_exits =
+                      nullptr,
+                  std::shared_ptr<const FrozenBoundarySummary>
+                      boundary_summary = nullptr);
 
   uint64_t version() const { return version_; }
   /// |V| of the original graph this version was compressed from.
-  size_t original_num_nodes() const {
-    return reach_ == nullptr ? 0 : reach_->node_map.size();
-  }
+  size_t original_num_nodes() const { return reach_->node_map.size(); }
 
   /// QR(u, v) on the original node ids: rewrite through the reach node map,
   /// then run the stock algorithm on the frozen quotient (Theorem 2).
   bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive,
              ReachAlgorithm algo = ReachAlgorithm::kBfs) const;
 
-  /// Multi-source, multi-target reachability under *non-empty* path
-  /// semantics: reached[i] = 1 iff some source has a path of length >= 1 to
-  /// targets[i]. One BFS over the frozen quotient regardless of the number
-  /// of sources and targets — the router's boundary-crossing search uses
-  /// this to resolve a whole frontier wave against a shard in one sweep.
-  /// Scratch space is thread-local; any number of threads may call
-  /// concurrently.
-  void ReachManyNonEmpty(std::span<const NodeId> sources,
-                         std::span<const NodeId> targets,
-                         std::vector<char>& reached) const;
-
   /// One router wave against this shard: resolves, for every entry in
   /// `sources`, whether `target` is reachable (return value) and which of
   /// this snapshot's boundary_exits() are — appended to `reached_exits` as
   /// *indexes into boundary_exits()*, in discovery order, each at most once
-  /// (the vector is cleared first) — all by non-empty paths, in one sweep.
-  /// Emitting indexes off the visited-block queue beats a stamp probe per
-  /// exit: most visited blocks carry no exits at all. Thread-safe like
-  /// ReachManyNonEmpty.
+  /// (the vector is cleared first) — all by non-empty paths, in one BFS
+  /// over the frozen quotient regardless of the number of sources. Emitting
+  /// indexes off the visited-block queue beats a stamp probe per exit: most
+  /// visited blocks carry no exits at all. Scratch space is thread-local;
+  /// any number of threads may call concurrently.
   bool ResolveWave(std::span<const NodeId> sources, NodeId target,
                    std::vector<NodeId>& reached_exits) const;
 
@@ -204,40 +175,31 @@ class ServingSnapshot {
   bool BooleanMatch(const PatternQuery& q) const;
 
   /// The frozen reachability quotient (for stats / direct sweeps). Like
-  /// every accessor below, only valid on a frozen/adopted snapshot (never
-  /// on the default-constructed buffer state), and — the pin-scope rule —
-  /// only while a pin on this snapshot is held.
-  const CsrGraph& reach_gr() const QPGC_LIFETIME_BOUND {
-    QPGC_DCHECK(reach_ != nullptr);
-    return reach_->gr;
-  }
+  /// every accessor below, valid only while a pin on this snapshot is held
+  /// (the pin-scope rule).
+  const CsrGraph& reach_gr() const QPGC_LIFETIME_BOUND { return reach_->gr; }
   /// The reach node map R(v): original node -> reach-quotient block (what
   /// the answer cache canonicalizes reach keys through).
   const std::vector<NodeId>& reach_map() const QPGC_LIFETIME_BOUND {
-    QPGC_DCHECK(reach_ != nullptr);
     return reach_->node_map;
   }
   /// The frozen bisimulation quotient (owned blocks only — see
   /// FrozenPatternSide).
   const CsrGraph& pattern_gr() const QPGC_LIFETIME_BOUND {
-    QPGC_DCHECK(pattern_ != nullptr);
     return pattern_->gr;
   }
   /// Block map, member index, and ghost-directed cross edges of the frozen
   /// bisimulation quotient (what the router's stitched cross-shard quotient
   /// is built from). pattern_map() maps ghost nodes to kInvalidNode.
   const std::vector<NodeId>& pattern_map() const QPGC_LIFETIME_BOUND {
-    QPGC_DCHECK(pattern_ != nullptr);
     return pattern_->node_map;
   }
   std::span<const NodeId> pattern_block_members(NodeId block) const
       QPGC_LIFETIME_BOUND {
-    QPGC_DCHECK(pattern_ != nullptr);
     return pattern_->block_members(block);
   }
   const std::vector<std::pair<NodeId, NodeId>>& pattern_cross_edges() const
       QPGC_LIFETIME_BOUND {
-    QPGC_DCHECK(pattern_ != nullptr);
     return pattern_->cross_edges;
   }
 
@@ -280,16 +242,16 @@ class ServingSnapshot {
   size_t MemoryBytes() const;
 
  private:
-  uint64_t version_ = 0;
+  uint64_t version_;
   std::shared_ptr<const FrozenReachSide> reach_;
   std::shared_ptr<const FrozenPatternSide> pattern_;
   std::shared_ptr<const std::vector<NodeId>> boundary_exits_;
   std::shared_ptr<const FrozenBoundarySummary> boundary_summary_;
   // reach_map() image of each boundary exit, parallel to *boundary_exits_,
   // plus its inverse — exit indexes grouped by quotient block (CSR) — both
-  // computed at Adopt. ResolveWave runs thousands of times per routed
-  // query; walking a visited block's (usually empty) exit-index run beats
-  // a node-map load and stamp probe per exit.
+  // computed by the constructor. ResolveWave runs thousands of times per
+  // routed query; walking a visited block's (usually empty) exit-index run
+  // beats a node-map load and stamp probe per exit.
   std::vector<NodeId> exit_block_;
   std::vector<uint32_t> block_exit_offsets_;  // quotient nodes + 1
   std::vector<NodeId> block_exit_index_;

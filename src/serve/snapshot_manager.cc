@@ -10,89 +10,15 @@ namespace qpgc {
 
 namespace {
 
-// Freezes one artifact into a pooled (or fresh) side buffer and wraps it in
-// a handle whose deleter hands the buffer back to the pool when the last
-// snapshot sharing it retires. That final refcount drop synchronizes with
-// the next take, so a later freeze's writes can never race a straggling
-// reader's reads.
-template <typename Side, typename Artifact, typename TakeFn, typename GiveFn>
-std::shared_ptr<const Side> FreezeSide(const Artifact& artifact, TakeFn take,
-                                       GiveFn give_back, PublishStats& stats) {
-  std::unique_ptr<Side> buf = take();
-  if (buf != nullptr) {
-    stats.reused_buffer = true;
-  } else {
-    buf = std::make_unique<Side>();
-  }
-  buf->Fill(artifact);
-  return std::shared_ptr<const Side>(
-      buf.release(), [give_back](const Side* p) {
-        give_back(std::unique_ptr<Side>(const_cast<Side*>(p)));
-      });
+// A freshly allocated side frozen from `artifact`.
+template <typename Side, typename Artifact>
+std::shared_ptr<const Side> FreezeFresh(const Artifact& artifact) {
+  auto side = std::make_shared<Side>();
+  side->Fill(artifact);
+  return side;
 }
 
 }  // namespace
-
-template <typename T>
-std::unique_ptr<T> SnapshotManager::BufferPool::TakeSpareLocked(
-    std::vector<std::unique_ptr<T>>& spares) {
-  if (spares.empty()) return nullptr;
-  std::unique_ptr<T> buf = std::move(spares.back());
-  spares.pop_back();
-  return buf;
-}
-
-template <typename T>
-std::unique_ptr<T> SnapshotManager::BufferPool::StashSpareLocked(
-    std::vector<std::unique_ptr<T>>& spares, std::unique_ptr<T> buf) {
-  if (spares.size() < kMaxSpares) {
-    spares.push_back(std::move(buf));
-    return nullptr;
-  }
-  return buf;  // pool full: caller lets the excess die outside the lock
-}
-
-std::unique_ptr<ServingSnapshot> SnapshotManager::BufferPool::TakeShell() {
-  MutexLock lock(mu_);
-  return TakeSpareLocked(shells_);
-}
-
-void SnapshotManager::BufferPool::ReturnShell(
-    std::unique_ptr<ServingSnapshot> shell) {
-  std::unique_ptr<ServingSnapshot> excess;
-  {
-    MutexLock lock(mu_);
-    excess = StashSpareLocked(shells_, std::move(shell));
-  }
-}
-
-std::unique_ptr<FrozenReachSide> SnapshotManager::BufferPool::TakeReach() {
-  MutexLock lock(mu_);
-  return TakeSpareLocked(reach_spares_);
-}
-
-void SnapshotManager::BufferPool::ReturnReach(
-    std::unique_ptr<FrozenReachSide> side) {
-  std::unique_ptr<FrozenReachSide> excess;
-  {
-    MutexLock lock(mu_);
-    excess = StashSpareLocked(reach_spares_, std::move(side));
-  }
-}
-
-std::unique_ptr<FrozenPatternSide> SnapshotManager::BufferPool::TakePattern() {
-  MutexLock lock(mu_);
-  return TakeSpareLocked(pattern_spares_);
-}
-
-void SnapshotManager::BufferPool::ReturnPattern(
-    std::unique_ptr<FrozenPatternSide> side) {
-  std::unique_ptr<FrozenPatternSide> excess;
-  {
-    MutexLock lock(mu_);
-    excess = StashSpareLocked(pattern_spares_, std::move(side));
-  }
-}
 
 std::shared_ptr<const ServingSnapshot> SnapshotManager::Slot::load() const {
 #ifdef QPGC_SERVE_ATOMIC_SLOT
@@ -112,8 +38,8 @@ void SnapshotManager::Slot::store(std::shared_ptr<const ServingSnapshot> p) {
     MutexLock lock(mu_);
     doomed = std::exchange(ptr_, std::move(p));
   }
-  // The displaced reference (possibly the last one) drops outside the lock:
-  // its deleter re-enters the buffer pool.
+  // The displaced reference (possibly the last one) drops outside the lock,
+  // so freeing a retired snapshot never holds up Acquire().
 #endif
 }
 
@@ -121,8 +47,7 @@ SnapshotManager::SnapshotManager(Graph g, SnapshotManagerOptions options)
     : g_(std::move(g)),
       options_(std::move(options)),
       rc_(CompressR(g_)),
-      pc_(CompressB(g_)),
-      pool_(std::make_shared<BufferPool>()) {
+      pc_(CompressB(g_)) {
   Publish();  // version 1: Acquire() never returns null
 }
 
@@ -132,8 +57,7 @@ SnapshotManager::SnapshotManager(Graph g, ReachCompression rc,
     : g_(std::move(g)),
       options_(std::move(options)),
       rc_(std::move(rc)),
-      pc_(std::move(pc)),
-      pool_(std::make_shared<BufferPool>()) {
+      pc_(std::move(pc)) {
   QPGC_CHECK(rc_.original_num_nodes == g_.num_nodes() &&
              pc_.original_num_nodes == g_.num_nodes());
   Publish();  // version 1: Acquire() never returns null
@@ -173,8 +97,8 @@ PublishStats SnapshotManager::Publish(FreezeMode mode) {
   stats.updates_included = pending_updates_;
 
   // The previous snapshot: the source of shared sides under FreezeMode::kAuto
-  // (pinning it here briefly delays its retirement past the swap, which is
-  // harmless).
+  // (pinning it here delays its retirement past the swap: when no reader
+  // holds it, this function frees it on return).
   const std::shared_ptr<const ServingSnapshot> prev = current_.load();
   // An artifact whose accumulated incremental stats kept no updates since
   // the last publish is bit-identical to the published one (reduced updates
@@ -186,32 +110,15 @@ PublishStats SnapshotManager::Publish(FreezeMode mode) {
                               pending_pcm_.kept_updates > 0;
 
   // Freeze off the read path: readers keep running on the published
-  // snapshot while the inactive buffers fill.
+  // snapshot while the new sides fill.
   Timer freeze_timer;
-  std::shared_ptr<const FrozenReachSide> reach;
-  if (freeze_reach) {
-    stats.froze_reach = true;
-    reach = FreezeSide<FrozenReachSide>(
-        rc_, [this] { return pool_->TakeReach(); },
-        [pool = pool_](std::unique_ptr<FrozenReachSide> buf) {
-          pool->ReturnReach(std::move(buf));
-        },
-        stats);
-  } else {
-    reach = prev->reach_side();
-  }
-  std::shared_ptr<const FrozenPatternSide> pattern;
-  if (freeze_pattern) {
-    stats.froze_pattern = true;
-    pattern = FreezeSide<FrozenPatternSide>(
-        pc_, [this] { return pool_->TakePattern(); },
-        [pool = pool_](std::unique_ptr<FrozenPatternSide> buf) {
-          pool->ReturnPattern(std::move(buf));
-        },
-        stats);
-  } else {
-    pattern = prev->pattern_side();
-  }
+  stats.froze_reach = freeze_reach;
+  stats.froze_pattern = freeze_pattern;
+  std::shared_ptr<const FrozenReachSide> reach =
+      freeze_reach ? FreezeFresh<FrozenReachSide>(rc_) : prev->reach_side();
+  std::shared_ptr<const FrozenPatternSide> pattern =
+      freeze_pattern ? FreezeFresh<FrozenPatternSide>(pc_)
+                     : prev->pattern_side();
 
   std::shared_ptr<const std::vector<NodeId>> exits;
   if (options_.boundary_exits_provider) {
@@ -248,26 +155,15 @@ PublishStats SnapshotManager::Publish(FreezeMode mode) {
     }
   }
 
-  std::unique_ptr<ServingSnapshot> shell = pool_->TakeShell();
-  if (shell == nullptr) shell = std::make_unique<ServingSnapshot>();
-  shell->Adopt(version_, std::move(reach), std::move(pattern),
-               std::move(exits), std::move(summary));
+  auto snap = std::make_shared<const ServingSnapshot>(
+      version_, std::move(reach), std::move(pattern), std::move(exits),
+      std::move(summary));
   stats.freeze_secs = freeze_timer.ElapsedSeconds();
 
-  // Wrap the shell in a handle whose deleter releases its side shares and
-  // returns it to the pool when the last reader drops it.
-  ServingSnapshot* raw = shell.release();
-  std::shared_ptr<const ServingSnapshot> handle(
-      raw, [pool = pool_](const ServingSnapshot* p) {
-        ServingSnapshot* shell = const_cast<ServingSnapshot*>(p);
-        shell->Reset();  // drop side shares first: unshared sides recycle
-        pool->ReturnShell(std::unique_ptr<ServingSnapshot>(shell));
-      });
-
   // The swap itself: one O(1) pointer store, independent of graph size. The
-  // displaced snapshot retires whenever its last reader lets go.
+  // displaced snapshot is freed whenever its last handle lets go.
   Timer swap_timer;
-  current_.store(std::move(handle));
+  current_.store(std::move(snap));
   stats.swap_secs = swap_timer.ElapsedSeconds();
 
   pending_updates_ = 0;

@@ -16,22 +16,23 @@
 //  * Any number of reader threads call Acquire() (or go through
 //    serve/query_service.h). A reader pins the current snapshot with a
 //    shared_ptr for the duration of a query and runs on it lock-free.
-//  * Publish() freezes the compressed state into *inactive* buffers — off
-//    the read path, readers never observe a half-frozen snapshot — and then
-//    swaps the assembled snapshot in with one O(1) atomic pointer store.
-//    Swap latency is independent of graph size by construction.
+//  * Publish() freezes each artifact that moved into a freshly allocated
+//    side — off the read path, readers never observe a half-frozen
+//    snapshot — constructs the immutable snapshot, and swaps it in with one
+//    O(1) atomic pointer store. Swap latency is independent of graph size
+//    by construction.
 //  * Per-artifact freezing: an artifact whose accumulated incremental stats
 //    show no kept updates since the last publish is *shared* from the
-//    previous snapshot instead of refrozen (the new version's shell points
-//    at the same immutable FrozenReachSide / FrozenPatternSide). Reach-only
-//    or pattern-only update streams therefore pay publish cost for the side
+//    previous snapshot instead of refrozen (the new version points at the
+//    same immutable FrozenReachSide / FrozenPatternSide). Reach-only or
+//    pattern-only update streams therefore pay publish cost for the side
 //    that actually moved. FreezeMode::kFull forces both (benchmarks use it
 //    to measure full freeze cost).
-//  * Retirement is reader-driven: a published snapshot's control block
-//    carries a deleter that returns the shell — and, once unshared, its
-//    side buffers — to the manager's pool when the last reader drops it
-//    (double buffering in steady state). The pool is shared-owned by every
-//    outstanding handle, so snapshots outliving the manager stay valid.
+//  * Retirement is reference counting: a displaced snapshot is freed —
+//    with every side no later version shares — when its last handle drops,
+//    on whichever thread drops it (the writer at the swap, or the last
+//    reader to unpin). Snapshots own their sides, so ones that outlive the
+//    manager stay valid; a view kept past its pin reads freed memory.
 //
 // Publish policies decouple *when* to publish from the update stream:
 // manual (caller decides), every-N-updates (amortize freeze cost over N
@@ -142,7 +143,8 @@ struct PublishStats {
   uint64_t version = 0;
   /// Effective updates included since the previous publish.
   size_t updates_included = 0;
-  /// Wall time of the freeze into the inactive buffers (off the read path).
+  /// Wall time of freezing and assembling the new snapshot (off the read
+  /// path).
   double freeze_secs = 0.0;
   /// Wall time of the atomic pointer swap (what readers can ever contend
   /// with; O(1) regardless of graph size).
@@ -159,9 +161,6 @@ struct PublishStats {
   /// inside freeze_secs).
   bool froze_summary = false;
   double summary_freeze_secs = 0.0;
-  /// True when the freeze recycled at least one retired *side* buffer
-  /// (shell recycling, which carries no artifact data, is not counted).
-  bool reused_buffer = false;
 };
 
 /// What one Apply() did.
@@ -208,8 +207,8 @@ class SnapshotManager {
   ApplyStats Apply(const UpdateBatch& batch,
                    const std::function<void(const UpdateBatch&)>& on_applied);
 
-  /// Freezes the current compressed state into inactive buffers and
-  /// atomically swaps it in as the new published snapshot. Under
+  /// Freezes the current compressed state into a new snapshot and
+  /// atomically swaps it in as the published one. Under
   /// FreezeMode::kAuto an artifact with no kept updates since the last
   /// publish is shared from the previous snapshot instead of refrozen.
   PublishStats Publish(FreezeMode mode = FreezeMode::kAuto);
@@ -250,44 +249,6 @@ class SnapshotManager {
   std::shared_ptr<const ServingSnapshot> Acquire() const;
 
  private:
-  // Recycled freeze buffers: snapshot shells plus per-side artifact
-  // buffers. Shared-owned by the manager and (through the handle deleters)
-  // by every outstanding snapshot, so a reader outliving the manager still
-  // has somewhere to return its buffers.
-  class BufferPool {
-   public:
-    std::unique_ptr<ServingSnapshot> TakeShell() QPGC_EXCLUDES(mu_);
-    void ReturnShell(std::unique_ptr<ServingSnapshot> shell)
-        QPGC_EXCLUDES(mu_);
-    std::unique_ptr<FrozenReachSide> TakeReach() QPGC_EXCLUDES(mu_);
-    void ReturnReach(std::unique_ptr<FrozenReachSide> side) QPGC_EXCLUDES(mu_);
-    std::unique_ptr<FrozenPatternSide> TakePattern() QPGC_EXCLUDES(mu_);
-    void ReturnPattern(std::unique_ptr<FrozenPatternSide> side)
-        QPGC_EXCLUDES(mu_);
-
-   private:
-    // Keeps at most kMaxSpares of each kind; the excess is freed.
-    static constexpr size_t kMaxSpares = 2;
-
-    // Must-hold-lock core of every Take*/Return* above (defined in the .cc,
-    // which is their only user). Stash returns the buffer back to the
-    // caller when the pool is full, so the excess can die outside the lock.
-    template <typename T>
-    std::unique_ptr<T> TakeSpareLocked(std::vector<std::unique_ptr<T>>& spares)
-        QPGC_REQUIRES(mu_);
-    template <typename T>
-    std::unique_ptr<T> StashSpareLocked(
-        std::vector<std::unique_ptr<T>>& spares, std::unique_ptr<T> buf)
-        QPGC_REQUIRES(mu_);
-
-    Mutex mu_;
-    std::vector<std::unique_ptr<ServingSnapshot>> shells_ QPGC_GUARDED_BY(mu_);
-    std::vector<std::unique_ptr<FrozenReachSide>> reach_spares_
-        QPGC_GUARDED_BY(mu_);
-    std::vector<std::unique_ptr<FrozenPatternSide>> pattern_spares_
-        QPGC_GUARDED_BY(mu_);
-  };
-
   // The published-snapshot slot. Uses the C++20 atomic<shared_ptr>
   // specialization when the standard library has one; degrades to a
   // mutex-guarded pointer otherwise. Either way the store is O(1) and the
@@ -328,7 +289,6 @@ class SnapshotManager {
   IncPcmStats pending_pcm_;
   Timer staleness_timer_;
 
-  std::shared_ptr<BufferPool> pool_;
   Slot current_;
 };
 

@@ -182,10 +182,10 @@ LoadedSnapshot CopyToHeap(const MmapSnapshot& mapped) {
     summary = std::move(built);
   }
 
-  auto snap = std::make_shared<ServingSnapshot>();
-  snap->Adopt(mapped.version(), std::move(reach), std::move(pattern),
-              std::move(exits), std::move(summary));
-  return {std::move(snap), mapped.shard(), mapped.num_shards()};
+  return {std::make_shared<const ServingSnapshot>(
+              mapped.version(), std::move(reach), std::move(pattern),
+              std::move(exits), std::move(summary)),
+          mapped.shard(), mapped.num_shards()};
 }
 
 }  // namespace
@@ -291,9 +291,6 @@ Status SaveSnapshot(const ServingSnapshot& snap, const std::string& path,
                     const SaveOptions& options) {
   const std::shared_ptr<const FrozenReachSide> reach = snap.reach_side();
   const std::shared_ptr<const FrozenPatternSide> pattern = snap.pattern_side();
-  if (reach == nullptr || pattern == nullptr) {
-    return Status::InvalidArgument("cannot save an empty snapshot");
-  }
   if (options.num_shards == 0 || options.shard >= options.num_shards) {
     return Status::InvalidArgument("invalid shard stamp");
   }
@@ -418,9 +415,6 @@ Result<LoadedShardSet> LoadShardSet(const std::vector<std::string>& paths,
 
 Result<ReconstructedArtifacts> ReconstructArtifacts(
     const Graph& g, const ServingSnapshot& snap) {
-  if (snap.reach_side() == nullptr || snap.pattern_side() == nullptr) {
-    return Status::InvalidArgument("cannot adopt an empty snapshot");
-  }
   if (!snap.boundary_exits().empty() || snap.boundary_summary() != nullptr ||
       !snap.pattern_cross_edges().empty()) {
     return Status::InvalidArgument(

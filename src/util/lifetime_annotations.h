@@ -5,11 +5,11 @@
 // util/thread_annotations.h. The serving stack is built on zero-copy
 // handles: std::span neighbor runs into frozen CSR buffers, GraphView
 // adapters referencing a base graph, snapshot accessors returning references
-// into pooled side buffers that a BufferPool recycles the moment the last
-// pin drops. Every one of those handles carries a lifetime contract ("valid
-// only while the owner lives", "valid only while the pin is held"); these
-// macros turn the common violations into Clang compile errors instead of
-// doc-comment fine print. The taxonomy, the pin-scope rule, and the
+// into frozen sides that are freed the moment the last pin on their
+// snapshot drops. Every one of those handles carries a lifetime contract
+// ("valid only while the owner lives", "valid only while the pin is held");
+// these macros turn the common violations into Clang compile errors instead
+// of doc-comment fine print. The taxonomy, the pin-scope rule, and the
 // suppression policy are documented in docs/LIFETIMES.md.
 //
 //   QPGC_LIFETIME_BOUND   [[clang::lifetimebound]] — the returned reference/

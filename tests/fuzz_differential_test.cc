@@ -26,7 +26,7 @@
 #include "pattern/inc_match.h"
 #include "pattern/pattern_gen.h"
 #include "reach/queries.h"
-#include "serve/snapshot.h"
+#include "serve/snapshot_manager.h"
 #include "storage/snapshot_io.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -137,13 +137,13 @@ TEST_P(FuzzDifferential, EverySubsystemAgreesAcrossEvolution) {
   }
 
   // The incrementally maintained artifacts survive storage at the final
-  // state: frozen, saved, loaded and reconstructed, they equal the
-  // in-memory pair.
-  ServingSnapshot frozen;
-  frozen.Freeze(1, rc, pc);
+  // state: published by a manager that adopts them, saved, loaded and
+  // reconstructed, they equal the in-memory pair.
+  const SnapshotManager adopted(g, rc, pc);
+  const auto frozen = adopted.Acquire();
   const std::string path =
       ::testing::TempDir() + "fuzz_" + std::to_string(seed) + ".snap";
-  ASSERT_TRUE(storage::SaveSnapshot(frozen, path).ok());
+  ASSERT_TRUE(storage::SaveSnapshot(*frozen, path).ok());
   const Result<storage::LoadedSnapshot> loaded =
       storage::LoadServingSnapshot(path);
   std::remove(path.c_str());

@@ -1,13 +1,14 @@
 // Copyright 2026 The QPGC Authors.
 //
 // The serving layer: ServingSnapshot correctness against the batch
-// artifacts, SnapshotManager version/retirement lifecycle and publish
-// policies, and the multi-threaded stress test (N readers, 1 writer) that
-// pins every query to a version and checks it against a recompute oracle
-// for exactly that version. The stress suites are what the CI TSan job
-// gates on (test names carry the "Serving"/"Snapshot" prefix the job's
-// ctest -R filter selects).
+// artifacts, refilled sides, SnapshotManager version/retirement lifecycle
+// and publish policies, and the multi-threaded stress test (N readers, 1
+// writer) that pins every query to a version and checks it against a
+// recompute oracle for exactly that version. The stress suites are what
+// the CI TSan job gates on (test names carry the "Serving"/"Snapshot"
+// prefix the job's ctest -R filter selects).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -20,6 +21,7 @@
 
 #include "gen/uniform.h"
 #include "gen/update_gen.h"
+#include "graph/shard_view.h"
 #include "pattern/pattern_gen.h"
 #include "serve/query_service.h"
 #include "serve/snapshot.h"
@@ -59,8 +61,11 @@ TEST(ServingSnapshotTest, FreezeAnswersLikeArtifactsAndOriginal) {
   const ReachCompression rc = CompressR(g);
   const PatternCompression pc = CompressB(g);
 
-  ServingSnapshot snap;
-  snap.Freeze(7, rc, pc);
+  auto reach = std::make_shared<FrozenReachSide>();
+  reach->Fill(rc);
+  auto pattern = std::make_shared<FrozenPatternSide>();
+  pattern->Fill(pc);
+  const ServingSnapshot snap(7, std::move(reach), std::move(pattern));
   EXPECT_EQ(snap.version(), 7u);
   EXPECT_EQ(snap.original_num_nodes(), g.num_nodes());
   EXPECT_GT(snap.MemoryBytes(), 0u);
@@ -84,20 +89,62 @@ TEST(ServingSnapshotTest, FreezeAnswersLikeArtifactsAndOriginal) {
   }
 }
 
-TEST(ServingSnapshotTest, RefreezeCarriesNoResidueAcrossVersions) {
-  const Graph g1 = SmallLabeledGraph();
-  Graph g2 = g1;
-  g2.AddEdge(0, 5);
+void ExpectSameCsr(const CsrGraph& a, const CsrGraph& b) {
+  EXPECT_TRUE(std::ranges::equal(a.out_offsets(), b.out_offsets()));
+  EXPECT_TRUE(std::ranges::equal(a.out_targets(), b.out_targets()));
+  EXPECT_TRUE(std::ranges::equal(a.in_offsets(), b.in_offsets()));
+  EXPECT_TRUE(std::ranges::equal(a.in_targets(), b.in_targets()));
+  EXPECT_EQ(a.labels(), b.labels());
+}
 
-  ServingSnapshot snap;
-  snap.Freeze(1, CompressR(g1), CompressB(g1));
-  const bool before = snap.Reach(0, 5);
-  snap.Freeze(2, CompressR(g2), CompressB(g2));
-  EXPECT_EQ(snap.version(), 2u);
-  EXPECT_TRUE(snap.Reach(0, 5));
-  // And back: a refrozen buffer carries no residue of its previous version.
-  snap.Freeze(3, CompressR(g1), CompressB(g1));
-  EXPECT_EQ(snap.Reach(0, 5), before);
+// Fill stays callable on a side that was already filled: a refilled side
+// equals a freshly filled one field by field, so nothing of what it held
+// before survives — not the larger arrays of a bigger graph, and not the
+// cross edges of a shard's ghost-dropping freeze.
+TEST(ServingSnapshotTest, RefreezeCarriesNoResidueAcrossVersions) {
+  const Graph g = SmallLabeledGraph();
+  const Graph big = GenerateUniform(/*num_nodes=*/90, /*num_edges=*/260,
+                                    /*num_labels=*/4, /*seed=*/12);
+  const Graph shard =
+      MaterializeShard(big, ShardPartition::Hash(big.num_nodes(), 2, 5), 0);
+
+  FrozenReachSide reach;
+  FrozenPatternSide pattern;
+  reach.Fill(CompressR(shard));
+  pattern.Fill(CompressB(shard));
+  ASSERT_FALSE(pattern.cross_edges.empty());  // the ghost-dropping path ran
+  reach.Fill(CompressR(g));
+  pattern.Fill(CompressB(g));
+
+  FrozenReachSide fresh_reach;
+  fresh_reach.Fill(CompressR(g));
+  FrozenPatternSide fresh_pattern;
+  fresh_pattern.Fill(CompressB(g));
+  ExpectSameCsr(reach.gr, fresh_reach.gr);
+  EXPECT_EQ(reach.node_map, fresh_reach.node_map);
+  ExpectSameCsr(pattern.gr, fresh_pattern.gr);
+  EXPECT_EQ(pattern.node_map, fresh_pattern.node_map);
+  EXPECT_EQ(pattern.member_offsets, fresh_pattern.member_offsets);
+  EXPECT_EQ(pattern.member_flat, fresh_pattern.member_flat);
+  EXPECT_EQ(pattern.cross_edges, fresh_pattern.cross_edges);
+
+  const ServingSnapshot snap(
+      2, std::make_shared<const FrozenReachSide>(std::move(reach)),
+      std::make_shared<const FrozenPatternSide>(std::move(pattern)));
+  for (const ReachQuery& q : RandomReachQueries(g.num_nodes(), 200, 9)) {
+    EXPECT_EQ(snap.Reach(q.u, q.v), BfsReaches(g, q.u, q.v));
+  }
+}
+
+TEST(ServingSnapshotDeathTest, NullSideAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Graph g = SmallLabeledGraph();
+  auto reach = std::make_shared<FrozenReachSide>();
+  reach->Fill(CompressR(g));
+  auto pattern = std::make_shared<FrozenPatternSide>();
+  pattern->Fill(CompressB(g));
+  EXPECT_DEATH((void)ServingSnapshot(1, nullptr, pattern), "QPGC_CHECK failed");
+  EXPECT_DEATH((void)ServingSnapshot(1, reach, nullptr), "QPGC_CHECK failed");
 }
 
 // ---------------------------------------------------------------------------
@@ -150,25 +197,6 @@ TEST(SnapshotManagerTest, PinnedSnapshotSurvivesLaterPublishes) {
   EXPECT_FALSE(pinned->Reach(u, v, PathMode::kNonEmpty));
 }
 
-TEST(SnapshotManagerTest, RetiredBuffersAreReused) {
-  SnapshotManager mgr(SmallLabeledGraph());
-  // v1's buffers were freshly allocated at construction. Publishing v2
-  // (full freeze, so the publish does not just share v1's untouched sides)
-  // displaces v1; with no readers pinning it, its buffers return to the
-  // pool immediately, so v3's freeze reuses them.
-  const PublishStats v2 = mgr.Publish(FreezeMode::kFull);
-  const PublishStats v3 = mgr.Publish(FreezeMode::kFull);
-  EXPECT_FALSE(v2.reused_buffer);
-  EXPECT_TRUE(v3.reused_buffer);
-
-  // A pinned snapshot is not reusable until released.
-  const auto pinned = mgr.Acquire();  // pins v3
-  // v3 still pinned; v2's buffers free.
-  const PublishStats v4 = mgr.Publish(FreezeMode::kFull);
-  EXPECT_TRUE(v4.reused_buffer);
-  EXPECT_EQ(pinned->version(), 3u);
-}
-
 // ---------------------------------------------------------------------------
 // Per-artifact freezing: a side whose accumulated incremental stats kept no
 // updates is shared from the previous snapshot instead of refrozen.
@@ -182,7 +210,7 @@ TEST(SnapshotManagerTest, PublishWithNoUpdatesSharesBothSides) {
   EXPECT_FALSE(stats.froze_pattern);
   const auto v2 = mgr.Acquire();
   EXPECT_EQ(v2->version(), 2u);
-  // Same frozen sides, new shell.
+  // Same frozen sides, new snapshot.
   EXPECT_EQ(v1->reach_side().get(), v2->reach_side().get());
   EXPECT_EQ(v1->pattern_side().get(), v2->pattern_side().get());
   EXPECT_NE(v1.get(), v2.get());
@@ -260,7 +288,7 @@ TEST(SnapshotManagerTest, SnapshotOutlivesManager) {
     SnapshotManager mgr(g);
     snap = mgr.Acquire();
   }
-  // The manager is gone; the pinned snapshot (and its buffer pool) live on.
+  // The manager is gone; the pinned snapshot owns its sides and lives on.
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->version(), 1u);
   for (const ReachQuery& q : RandomReachQueries(g.num_nodes(), 50, 3)) {

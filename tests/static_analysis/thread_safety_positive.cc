@@ -37,8 +37,7 @@ class Queue {
   }
 
  private:
-  // Must-hold-lock helper, same shape as SnapshotManager::BufferPool's
-  // TakeSpareLocked / StashSpareLocked.
+  // Must-hold-lock helper: callable only with mu_ held.
   void PushLocked(int v) QPGC_REQUIRES(mu_) { buffer_[count_++ % 8] = v; }
 
   qpgc::Mutex mu_;

@@ -385,7 +385,7 @@ class Analyzer:
                 relpath, lineno, "member-view-store",
                 "raw pointer/reference member to a frozen serving type in a "
                 "non-view class: hold the owning shared_ptr instead "
-                "(snapshot sides are retired to the BufferPool when the "
+                "(a snapshot and its unshared sides are freed when the "
                 "last pin drops)")
 
     def _check_static(self, relpath, lineno, stmt, is_allowed):
