@@ -62,10 +62,10 @@ struct IncRcmStats {
   size_t hybrid_vertices = 0;
   size_t hybrid_edges = 0;
 
-  /// Size of the dirty cone this call touched, in hybrid-graph units
-  /// (|AFF|-bounded — never a function of |G|). The serving layer accumulates
-  /// this across the batches applied since the last publish to decide when a
-  /// snapshot has drifted far enough to be worth re-freezing.
+  /// Size of the dirty cone this call touched, in hybrid-graph units (on
+  /// the served graphs most of |G|; ROADMAP.md, item 2). The serving layer
+  /// accumulates this across the batches applied since the last publish to
+  /// decide when a snapshot has drifted far enough to be worth re-freezing.
   size_t DirtyConeSize() const { return hybrid_vertices + hybrid_edges; }
 
   /// Folds another call's counters into this one (aggregate-since-publish

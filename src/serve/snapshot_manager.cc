@@ -2,6 +2,7 @@
 
 #include "serve/snapshot_manager.h"
 
+#include <future>
 #include <utility>
 
 #include "util/common.h"
@@ -44,10 +45,16 @@ void SnapshotManager::Slot::store(std::shared_ptr<const ServingSnapshot> p) {
 }
 
 SnapshotManager::SnapshotManager(Graph g, SnapshotManagerOptions options)
-    : g_(std::move(g)),
-      options_(std::move(options)),
-      rc_(CompressR(g_)),
-      pc_(CompressB(g_)) {
+    : g_(std::move(g)), options_(std::move(options)) {
+  // The two sides read only g_ and write only their own artifact, so
+  // compressB runs on a second thread beside compressR (deferred onto this
+  // one when no thread can start). The future's destructor joins it on
+  // every path, so g_ outlives it even if CompressR throws.
+  std::future<PatternCompression> pattern =
+      std::async(std::launch::async | std::launch::deferred,
+                 [this] { return CompressB(g_); });
+  rc_ = CompressR(g_);
+  pc_ = pattern.get();
   Publish();  // version 1: Acquire() never returns null
 }
 
@@ -74,8 +81,13 @@ ApplyStats SnapshotManager::Apply(
   const UpdateBatch effective = ApplyBatch(g_, batch);
   stats.effective_updates = effective.size();
   if (!effective.empty()) {
+    // IncPCM beside IncRCM, as in the constructor: both only read g_ and
+    // `effective`, and get() joins the worker before anything reads pc_.
+    std::future<IncPcmStats> pcm =
+        std::async(std::launch::async | std::launch::deferred,
+                   [&] { return IncPCM(g_, effective, pc_); });
     stats.rcm = IncRCM(g_, effective, rc_);
-    stats.pcm = IncPCM(g_, effective, pc_);
+    stats.pcm = pcm.get();
     pending_rcm_.Accumulate(stats.rcm);
     pending_pcm_.Accumulate(stats.pcm);
     pending_updates_ += effective.size();

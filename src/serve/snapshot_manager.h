@@ -9,10 +9,18 @@
 // Concurrency contract (single-writer / many-readers):
 //  * Exactly one writer thread calls Apply() / Publish(). Updates flow
 //    through the existing incremental algorithms (IncRCM Section 5.1,
-//    IncPCM Section 5.2), so per-batch maintenance cost stays a function of
-//    |AFF| and |Gr|, never |G|. In sharded serving every shard has its own
-//    manager and therefore its own independent writer
+//    IncPCM Section 5.2). Their cost follows the cone of classes they
+//    dissolve, which on the served graphs is close to |G| (ROADMAP.md,
+//    item 2), not a function of |AFF| alone. In sharded serving every
+//    shard has its own manager and therefore its own independent writer
 //    (serve/sharded_manager.h); the single-writer contract is per shard.
+//  * The two sides share nothing, so the writer runs them concurrently:
+//    inside Apply() IncPCM runs on a second thread beside IncRCM, and the
+//    compressing constructor runs compressB beside compressR. Both read
+//    only the graph and the batch, each writes only its own artifact, and
+//    the writer joins the worker before it reads the pattern side again.
+//    Callers still see one writer; the artifacts and ApplyStats are those
+//    of running the sides one after the other.
 //  * Any number of reader threads call Acquire() (or go through
 //    serve/query_service.h). A reader pins the current snapshot with a
 //    shared_ptr for the duration of a query and runs on it lock-free.

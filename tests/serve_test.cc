@@ -296,15 +296,117 @@ TEST(SnapshotManagerTest, SnapshotOutlivesManager) {
   }
 }
 
+// The manager's artifacts equal, field by field, those of a mirror that
+// maintains the two sides one after the other: running them concurrently
+// must not move a single class id.
+void ExpectSameArtifacts(const SnapshotManager& mgr,
+                         const ReachCompression& rc,
+                         const PatternCompression& pc) {
+  const ReachCompression& reach = mgr.reach_artifact();
+  EXPECT_EQ(reach.node_map, rc.node_map);
+  EXPECT_EQ(reach.members, rc.members);
+  EXPECT_TRUE(reach.gr == rc.gr);
+  EXPECT_TRUE(reach.quotient == rc.quotient);
+  EXPECT_EQ(reach.cyclic, rc.cyclic);
+  EXPECT_EQ(reach.ranks, rc.ranks);
+  EXPECT_EQ(reach.original_size, rc.original_size);
+  const PatternCompression& pattern = mgr.pattern_artifact();
+  EXPECT_TRUE(pattern.gr == pc.gr);
+  EXPECT_EQ(pattern.node_map, pc.node_map);
+  EXPECT_EQ(pattern.members, pc.members);
+  EXPECT_EQ(pattern.original_size, pc.original_size);
+}
+
+void ExpectSameStats(const IncRcmStats& a, const IncRcmStats& b) {
+  EXPECT_EQ(a.kept_updates, b.kept_updates);
+  EXPECT_EQ(a.reduced_updates, b.reduced_updates);
+  EXPECT_EQ(a.dissolved_classes, b.dissolved_classes);
+  EXPECT_EQ(a.aggregated_classes, b.aggregated_classes);
+  EXPECT_EQ(a.dissolved_nodes, b.dissolved_nodes);
+  EXPECT_EQ(a.hybrid_vertices, b.hybrid_vertices);
+  EXPECT_EQ(a.hybrid_edges, b.hybrid_edges);
+}
+
+void ExpectSameStats(const IncPcmStats& a, const IncPcmStats& b) {
+  EXPECT_EQ(a.kept_updates, b.kept_updates);
+  EXPECT_EQ(a.reduced_updates, b.reduced_updates);
+  EXPECT_EQ(a.dissolved_blocks, b.dissolved_blocks);
+  EXPECT_EQ(a.dissolved_nodes, b.dissolved_nodes);
+  EXPECT_EQ(a.hybrid_vertices, b.hybrid_vertices);
+  EXPECT_EQ(a.hybrid_edges, b.hybrid_edges);
+}
+
+// One insert IncRCM drops: u already reaches v without the new edge.
+UpdateBatch ReachRedundantInsert(const Graph& g) {
+  UpdateBatch batch;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (u != v && !g.HasEdge(u, v) && BfsReaches(g, u, v)) {
+        batch.Insert(u, v);
+        return batch;
+      }
+    }
+  }
+  return batch;
+}
+
+// One insert IncPCM drops: u already has a child in w's block.
+UpdateBatch PatternRedundantInsert(const Graph& g,
+                                   const PatternCompression& pc) {
+  UpdateBatch batch;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (const NodeId child : g.OutNeighbors(u)) {
+      for (const NodeId w : pc.members[pc.node_map[child]]) {
+        if (!g.HasEdge(u, w)) {
+          batch.Insert(u, w);
+          return batch;
+        }
+      }
+    }
+  }
+  return batch;
+}
+
 TEST(SnapshotManagerTest, ApplyMaintainsArtifactsExactly) {
   Graph g = GenerateUniform(120, 300, 3, 29);
   SnapshotManager mgr(g);
-  Rng rng(91);
-  for (int round = 0; round < 6; ++round) {
-    const UpdateBatch batch =
-        RandomMixed(mgr.graph(), 12, 0.6, 1000 + round);
-    mgr.Apply(batch);
-    mgr.Publish();
+  Graph mirror = g;
+  ReachCompression rc = CompressR(mirror);
+  PatternCompression pc = CompressB(mirror);
+  ExpectSameArtifacts(mgr, rc, pc);
+  // Six random rounds, then one round whose only update the reach side
+  // drops and one whose only update the pattern side drops.
+  constexpr int kReachKeepsNone = 6;
+  constexpr int kPatternKeepsNone = 7;
+  for (int round = 0; round < 8; ++round) {
+    UpdateBatch batch;
+    if (round == kReachKeepsNone) {
+      batch = ReachRedundantInsert(mirror);
+    } else if (round == kPatternKeepsNone) {
+      batch = PatternRedundantInsert(mirror, pc);
+    } else {
+      batch = RandomMixed(mirror, 12, 0.6, 1000 + round);
+    }
+    ASSERT_FALSE(batch.empty());
+    const ApplyStats applied = mgr.Apply(batch);
+    const UpdateBatch effective = ApplyBatch(mirror, batch);
+    const IncRcmStats rcm = IncRCM(mirror, effective, rc);
+    const IncPcmStats pcm = IncPCM(mirror, effective, pc);
+    EXPECT_EQ(applied.effective_updates, effective.size());
+    ExpectSameStats(applied.rcm, rcm);
+    ExpectSameStats(applied.pcm, pcm);
+    ASSERT_TRUE(mgr.graph() == mirror);
+    ExpectSameArtifacts(mgr, rc, pc);
+    if (round == kReachKeepsNone) {
+      EXPECT_EQ(rcm.kept_updates, 0u);
+    }
+    if (round == kPatternKeepsNone) {
+      EXPECT_EQ(pcm.kept_updates, 0u);
+    }
+
+    const PublishStats published = mgr.Publish();
+    EXPECT_EQ(published.froze_reach, rcm.kept_updates > 0);
+    EXPECT_EQ(published.froze_pattern, pcm.kept_updates > 0);
     const auto snap = mgr.Acquire();
     // The snapshot must answer exactly like direct evaluation on the
     // post-update graph (writer-side mirror).
