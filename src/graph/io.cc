@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/builder.h"
+#include "graph/shard_view.h"
 
 namespace qpgc {
 
@@ -94,6 +95,14 @@ Status LoadLabels(Graph& g, const std::string& path) {
     if (u >= g.num_nodes()) {
       return Status::CorruptData(path + ": node out of range at line " +
                                  std::to_string(lineno));
+    }
+    // kNoLabel is what SaveLabels writes for an unlabeled node; the rest of
+    // [2^31, 2^32) is reserved for sharded serving's ghost labels.
+    if (l > kNoLabel || IsGhostLabel(static_cast<Label>(l))) {
+      return Status::CorruptData(
+          path + ": label " + std::to_string(l) + " at line " +
+          std::to_string(lineno) + " is not below 2^31 (nor the unlabeled " +
+          std::to_string(kNoLabel) + ")");
     }
     g.set_label(static_cast<NodeId>(u), static_cast<Label>(l));
   }

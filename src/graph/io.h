@@ -25,7 +25,10 @@ Result<Graph> LoadEdgeList(const std::string& path);
 /// Writes a graph as an edge list (with a header comment).
 Status SaveEdgeList(const Graph& g, const std::string& path);
 
-/// Loads node labels ("u label" per line) into an existing graph.
+/// Loads node labels ("u label" per line) into an existing graph. Fails
+/// with CORRUPT_DATA on a malformed line, a node out of range, or a label
+/// at or above 2^31 other than kNoLabel (the ghost labels of sharded
+/// serving live there, graph/shard_view.h).
 Status LoadLabels(Graph& g, const std::string& path);
 
 /// Writes node labels ("u label" per line).

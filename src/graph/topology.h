@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/condensation.h"
@@ -21,10 +23,10 @@
 
 namespace qpgc {
 
-/// Topological order of a DAG (every edge goes from an earlier to a later
-/// position). Aborts if the graph has a cycle — callers pass condensations.
+/// Topological order of `dag` (every edge goes from an earlier to a later
+/// position), ignoring self-loops; nullopt when it has a longer cycle.
 template <GraphView G>
-std::vector<NodeId> TopologicalOrder(const G& dag) {
+std::optional<std::vector<NodeId>> TryTopologicalOrder(const G& dag) {
   const size_t n = dag.num_nodes();
   std::vector<uint32_t> in_degree(n, 0);
   for (NodeId u = 0; u < n; ++u) {
@@ -47,8 +49,17 @@ std::vector<NodeId> TopologicalOrder(const G& dag) {
       if (--in_degree[v] == 0) order.push_back(v);
     }
   }
-  QPGC_CHECK(order.size() == n);  // cycle otherwise
+  if (order.size() != n) return std::nullopt;  // a cycle
   return order;
+}
+
+/// Topological order of a DAG. Aborts if the graph has a cycle — callers
+/// pass condensations.
+template <GraphView G>
+std::vector<NodeId> TopologicalOrder(const G& dag) {
+  std::optional<std::vector<NodeId>> order = TryTopologicalOrder(dag);
+  QPGC_CHECK(order.has_value());
+  return std::move(*order);
 }
 
 /// Reverse topological order (children before parents).

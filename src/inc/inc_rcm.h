@@ -3,8 +3,10 @@
 // incRCM (Section 5.1): incremental maintenance of the reachability
 // preserving compression under batch updates. The problem is unbounded even
 // for unit updates (Theorem 6, by reduction from single-source
-// reachability), so no algorithm can run in time f(|AFF|); the paper's — and
-// our — goal is cost that depends on |AFF| and |Gr| but never on |G|.
+// reachability), so no algorithm can run in time f(|AFF|); the paper's goal
+// is cost that depends on |AFF| and |Gr| but never on |G|. This
+// implementation does not reach it: its cost follows the cone of classes
+// step 2 dissolves, which on the served graphs is most of G (below).
 //
 // Algorithm (hybrid-graph formulation of the paper's Split/Merge scheme;
 // DESIGN.md §3 records the supporting facts):
@@ -24,15 +26,22 @@
 //  3. *Hybrid graph H.* Frozen classes stay as supernodes carrying their
 //     (transitively reduced, closure-faithful) Gr edges; affected classes
 //     dissolve into their members, which contribute their real post-update
-//     adjacency. |H| = O(|Gr| + |AFF|), independent of |G|.
+//     adjacency. |H| is the frozen part of Gr plus the dissolved members
+//     and their edges — not O(|Gr| + |AFF|): a deletion dissolves every
+//     ancestor of [u] and descendant of [u'], and the traced
+//     inc.rcm_cone_frac is 1.00 on bench/e2e's social_live and
+//     grid_hot_cold (ROADMAP.md, item 2), so H there is about G.
 //  4. *Recompress H.* Reachability equivalence on H coincides with the
 //     node-level relation (frozen classes never split; every merge —
 //     including SCC formation across frozen classes — is visible at the
 //     H level because member sets are disjoint). Running compressR on H and
 //     translating member sets yields exactly R(G ⊕ ΔG).
 //
-// The only O(|V|) work is the final dense re-map of node ids into the
-// artifact; every super-linear step is bounded by |AFF| and |Gr|.
+// Besides the final dense re-map of node ids into the artifact (O(|V|)),
+// the cost is that of building and recompressing H: bounded by |Gr| and
+// the dissolved cone, not by |AFF|, and on the served graphs close to a
+// recompression of G. A serving side whose quotient merges (almost)
+// nothing skips it altogether (serve/snapshot_manager.h).
 
 #ifndef QPGC_INC_INC_RCM_H_
 #define QPGC_INC_INC_RCM_H_

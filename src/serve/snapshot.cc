@@ -3,6 +3,7 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "graph/shard_view.h"
@@ -11,12 +12,20 @@
 namespace qpgc {
 
 void FrozenReachSide::Fill(const ReachCompression& rc) {
-  gr = CsrGraph(rc.gr);
+  gr = std::make_shared<const CsrGraph>(rc.gr);
   node_map = rc.node_map;
+  representation = SideRepresentation::kQuotient;
+}
+
+void FrozenReachSide::FillIdentity(std::shared_ptr<const CsrGraph> g) {
+  node_map.resize(g->num_nodes());
+  std::iota(node_map.begin(), node_map.end(), NodeId{0});
+  gr = std::move(g);
+  representation = SideRepresentation::kIdentity;
 }
 
 size_t FrozenReachSide::MemoryBytes() const {
-  return gr.MemoryBytes() + VectorBytes(node_map);
+  return gr->MemoryBytes() + VectorBytes(node_map);
 }
 
 namespace {
@@ -54,7 +63,7 @@ void FrozenPatternSide::Fill(const PatternCompression& pc) {
     // No ghost blocks (every unsharded manager, and a K = 1 sharded one):
     // the permutation is the identity, so skip the per-edge remap in favor
     // of the bulk-copy freeze and plain map/member copies.
-    gr = CsrGraph(pc.gr);
+    gr = std::make_shared<const CsrGraph>(pc.gr);
     node_map = pc.node_map;
     member_offsets.assign(num_blocks + 1, 0);
     for (size_t c = 0; c < num_blocks; ++c) {
@@ -67,6 +76,7 @@ void FrozenPatternSide::Fill(const PatternCompression& pc) {
                     static_cast<ptrdiff_t>(member_offsets[c]));
     }
     cross_edges.clear();
+    representation = SideRepresentation::kQuotient;
     return;
   }
 
@@ -74,7 +84,10 @@ void FrozenPatternSide::Fill(const PatternCompression& pc) {
   // ghost-directed edges; the dropped targets (ghost blocks) are then
   // rewritten to the ghost's node id — its block's sole member.
   cross_edges.clear();
-  gr.RefreezeMapped(pc.gr, perm, owned_blocks, &cross_edges);
+  auto frozen = std::make_shared<CsrGraph>();
+  frozen->RefreezeMapped(pc.gr, perm, owned_blocks, &cross_edges);
+  gr = std::move(frozen);
+  representation = SideRepresentation::kQuotient;
   for (auto& [block, target] : cross_edges) {
     QPGC_DCHECK(pc.members[target].size() == 1);
     target = pc.members[target][0];
@@ -104,11 +117,49 @@ void FrozenPatternSide::Fill(const PatternCompression& pc) {
               member_flat.begin() +
                   static_cast<ptrdiff_t>(member_offsets[perm[b]]));
   }
+}
 
+void FrozenPatternSide::FillIdentity(std::shared_ptr<const CsrGraph> g) {
+  QPGC_DCHECK(std::ranges::none_of(g->labels(), IsGhostLabel));
+  const size_t n = g->num_nodes();
+  node_map.resize(n);
+  std::iota(node_map.begin(), node_map.end(), NodeId{0});
+  member_offsets.resize(n + 1);
+  std::iota(member_offsets.begin(), member_offsets.end(), uint64_t{0});
+  member_flat = node_map;
+  cross_edges.clear();
+  gr = std::move(g);
+  representation = SideRepresentation::kIdentity;
+}
+
+void FrozenPatternSide::FillIdentity(const Graph& g) {
+  // Every node is its own block, so the compact ids are Fill's permutation
+  // with blocks read as nodes: owned nodes keep their relative order and
+  // ghosts (synthetic labels) are dropped, and a dropped edge's target is
+  // already the ghost's node id.
+  const size_t n = g.num_nodes();
+  node_map.assign(n, kInvalidNode);
+  member_flat.clear();
+  for (NodeId v = 0; v < n; ++v) {
+    const Label label = g.label(v);
+    if (IsGhostLabel(label)) {
+      QPGC_CHECK(label == GhostLabel(v));  // as in Fill
+      continue;
+    }
+    node_map[v] = static_cast<NodeId>(member_flat.size());
+    member_flat.push_back(v);
+  }
+  member_offsets.resize(member_flat.size() + 1);
+  std::iota(member_offsets.begin(), member_offsets.end(), uint64_t{0});
+  cross_edges.clear();
+  auto frozen = std::make_shared<CsrGraph>();
+  frozen->RefreezeMapped(g, node_map, member_flat.size(), &cross_edges);
+  gr = std::move(frozen);
+  representation = SideRepresentation::kIdentity;
 }
 
 size_t FrozenPatternSide::MemoryBytes() const {
-  return gr.MemoryBytes() + VectorBytes(node_map) +
+  return gr->MemoryBytes() + VectorBytes(node_map) +
          VectorBytes(member_offsets) + VectorBytes(member_flat) +
          VectorBytes(cross_edges);
 }
@@ -124,6 +175,7 @@ ServingSnapshot::ServingSnapshot(
       boundary_exits_(std::move(boundary_exits)),
       boundary_summary_(std::move(boundary_summary)) {
   QPGC_CHECK(reach_ != nullptr && pattern_ != nullptr);
+  QPGC_CHECK(reach_->gr != nullptr && pattern_->gr != nullptr);
   if (boundary_exits_ != nullptr) {
     exit_block_.reserve(boundary_exits_->size());
     for (const NodeId x : *boundary_exits_) {
@@ -131,7 +183,7 @@ ServingSnapshot::ServingSnapshot(
     }
     // Inverse: exit indexes grouped by block (counting sort — exits are
     // few, blocks many).
-    block_exit_offsets_.assign(reach_->gr.num_nodes() + 1, 0);
+    block_exit_offsets_.assign(reach_->gr->num_nodes() + 1, 0);
     for (const NodeId b : exit_block_) ++block_exit_offsets_[b + 1];
     for (size_t b = 1; b < block_exit_offsets_.size(); ++b) {
       block_exit_offsets_[b] += block_exit_offsets_[b - 1];
@@ -160,7 +212,7 @@ bool ServingSnapshot::Reach(NodeId u, NodeId v, PathMode mode,
   // classes are connected iff any pair of their members is; equal classes
   // answer the diagonal through their self-loop (reach/queries.cc keeps the
   // same reduction for the unfrozen artifact).
-  return EvalReach(reach_->gr, map[u], map[v], PathMode::kNonEmpty, algo);
+  return EvalReach(*reach_->gr, map[u], map[v], PathMode::kNonEmpty, algo);
 }
 
 namespace {
@@ -233,7 +285,7 @@ bool ServingSnapshot::ResolveWave(std::span<const NodeId> sources,
   reached_exits.clear();
   if (sources.empty()) return false;
   const std::vector<NodeId>& map = reach_->node_map;
-  const uint32_t epoch = MultiSourceSweep(reach_->gr, &map, sources);
+  const uint32_t epoch = MultiSourceSweep(*reach_->gr, &map, sources);
   // The sweep's queue is exactly the set of stamped blocks, each once:
   // emit their exit-index runs instead of probing the stamp per exit.
   if (!block_exit_offsets_.empty()) {
@@ -253,7 +305,7 @@ bool ServingSnapshot::ResolveTargetBlocks(std::span<const NodeId> source_blocks,
   if (source_blocks.empty()) return false;
   const std::vector<NodeId>& map = reach_->node_map;
   const uint32_t epoch =
-      MultiSourceSweep(reach_->gr, /*map=*/nullptr, source_blocks);
+      MultiSourceSweep(*reach_->gr, /*map=*/nullptr, source_blocks);
   QPGC_DCHECK(target < map.size());
   return t_reach_scratch.stamp[map[target]] == epoch;
 }
@@ -265,15 +317,18 @@ MatchResult ServingSnapshot::Match(const PatternQuery& q) const {
   return ExpandMatchWith(
       pattern_->member_offsets.size() - 1, pattern_->node_map,
       [this](NodeId block) { return pattern_->block_members(block); },
-      qpgc::Match(pattern_->gr, q));
+      qpgc::Match(*pattern_->gr, q));
 }
 
 bool ServingSnapshot::BooleanMatch(const PatternQuery& q) const {
-  return qpgc::BooleanMatch(pattern_->gr, q);
+  return qpgc::BooleanMatch(*pattern_->gr, q);
 }
 
 size_t ServingSnapshot::MemoryBytes() const {
-  return reach_->MemoryBytes() + pattern_->MemoryBytes() +
+  // Two identity sides share one frozen G: count it once.
+  const size_t shared =
+      reach_->gr == pattern_->gr ? reach_->gr->MemoryBytes() : 0;
+  return reach_->MemoryBytes() + pattern_->MemoryBytes() - shared +
          VectorBytes(boundary_exits()) +
          (boundary_summary_ == nullptr ? 0 : boundary_summary_->MemoryBytes());
 }

@@ -18,6 +18,13 @@
 // (serve/snapshot_manager.h decides, from the accumulated per-side
 // incremental stats).
 //
+// A side is either a quotient or G itself: the trivial <R, F, P> with
+// R = id (SideRepresentation::kIdentity), which the manager serves where the
+// quotient merges (almost) nothing (serve/snapshot_manager.h). An identity
+// side is a freeze of G with the identity node map (and, on the pattern
+// side, a singleton member index); when both sides of a version are
+// identity they share one frozen graph.
+//
 // Sharded serving additionally stamps each per-shard snapshot with its
 // *boundary-exit table* — the ghost nodes (non-owned nodes, see
 // graph/shard_view.h) that have in-edges inside this shard, i.e. the nodes
@@ -63,16 +70,29 @@
 
 namespace qpgc {
 
+/// How a frozen side represents its compression.
+enum class SideRepresentation {
+  /// The quotient Gr with its node map (and member index).
+  kQuotient,
+  /// G itself: a freeze of G, the identity node map and singleton blocks.
+  kIdentity,
+};
+
 /// The frozen reachability artifact: CSR quotient Gr plus the node map
-/// R(v).
+/// R(v). The graph is held by pointer so that an identity side can share
+/// the one freeze of G with the pattern side.
 struct FrozenReachSide {
-  CsrGraph gr;
+  std::shared_ptr<const CsrGraph> gr;
   std::vector<NodeId> node_map;
+  SideRepresentation representation = SideRepresentation::kQuotient;
 
   /// Writer-side fill from the maintained artifact, replacing whatever the
   /// side held before.
   void Fill(const ReachCompression& rc);
-  /// Heap bytes held by this side.
+  /// Writer-side fill as G itself: `g` is a freeze of G, shared, and the
+  /// node map is the identity.
+  void FillIdentity(std::shared_ptr<const CsrGraph> g);
+  /// Heap bytes held by this side, its graph included.
   size_t MemoryBytes() const;
 };
 
@@ -97,11 +117,12 @@ struct FrozenReachSide {
 /// must be a genuine per-node ghost label — i.e. served graphs carry real
 /// labels below kGhostLabelBase (graph/shard_view.h's LabelsShardable).
 struct FrozenPatternSide {
-  CsrGraph gr;
+  std::shared_ptr<const CsrGraph> gr;
   std::vector<NodeId> node_map;
   std::vector<uint64_t> member_offsets;  // num owned blocks + 1 entries
   std::vector<NodeId> member_flat;       // owned nodes, grouped by block
   std::vector<std::pair<NodeId, NodeId>> cross_edges;
+  SideRepresentation representation = SideRepresentation::kQuotient;
 
   /// Members of compact block c, ascending.
   std::span<const NodeId> block_members(NodeId c) const QPGC_LIFETIME_BOUND {
@@ -112,7 +133,13 @@ struct FrozenPatternSide {
   /// Writer-side fill from the maintained artifact, replacing whatever the
   /// side held before.
   void Fill(const PatternCompression& pc);
-  /// Heap bytes held by this side.
+  /// Writer-side fills as G itself, every node its own block. The first
+  /// shares `g`, a freeze of a graph without ghost nodes (unsharded
+  /// serving); the second freezes a shard's graph through the same
+  /// ghost-dropping path as Fill, cross edges included.
+  void FillIdentity(std::shared_ptr<const CsrGraph> g);
+  void FillIdentity(const Graph& g);
+  /// Heap bytes held by this side, its graph included.
   size_t MemoryBytes() const;
 };
 
@@ -121,9 +148,10 @@ struct FrozenPatternSide {
 /// for the sharing and thread-safety contracts).
 class ServingSnapshot {
  public:
-  /// Assembles version `version` from frozen sides, both non-null (checked)
-  /// and possibly shared with other versions: the manager passes the sides
-  /// the update stream left untouched through from the previous version.
+  /// Assembles version `version` from filled frozen sides, both non-null
+  /// (checked) and possibly shared with other versions: the manager passes
+  /// the sides the update stream left untouched through from the previous
+  /// version.
   /// `boundary_exits` must be sorted ascending (null or empty for
   /// unsharded serving); it is shared by pointer — consecutive versions
   /// whose exit membership did not change reuse one immutable vector.
@@ -174,10 +202,10 @@ class ServingSnapshot {
   /// Boolean pattern query — evaluated on the frozen quotient, no P needed.
   bool BooleanMatch(const PatternQuery& q) const;
 
-  /// The frozen reachability quotient (for stats / direct sweeps). Like
-  /// every accessor below, valid only while a pin on this snapshot is held
-  /// (the pin-scope rule).
-  const CsrGraph& reach_gr() const QPGC_LIFETIME_BOUND { return reach_->gr; }
+  /// The frozen reachability quotient, or G for an identity side (for stats
+  /// / direct sweeps). Like every accessor below, valid only while a pin on
+  /// this snapshot is held (the pin-scope rule).
+  const CsrGraph& reach_gr() const QPGC_LIFETIME_BOUND { return *reach_->gr; }
   /// The reach node map R(v): original node -> reach-quotient block (what
   /// the answer cache canonicalizes reach keys through).
   const std::vector<NodeId>& reach_map() const QPGC_LIFETIME_BOUND {
@@ -186,7 +214,7 @@ class ServingSnapshot {
   /// The frozen bisimulation quotient (owned blocks only — see
   /// FrozenPatternSide).
   const CsrGraph& pattern_gr() const QPGC_LIFETIME_BOUND {
-    return pattern_->gr;
+    return *pattern_->gr;
   }
   /// Block map, member index, and ghost-directed cross edges of the frozen
   /// bisimulation quotient (what the router's stitched cross-shard quotient
@@ -201,6 +229,14 @@ class ServingSnapshot {
   const std::vector<std::pair<NodeId, NodeId>>& pattern_cross_edges() const
       QPGC_LIFETIME_BOUND {
     return pattern_->cross_edges;
+  }
+
+  /// How each side represents its compression.
+  SideRepresentation reach_representation() const {
+    return reach_->representation;
+  }
+  SideRepresentation pattern_representation() const {
+    return pattern_->representation;
   }
 
   /// Shared handles to the sides (the manager passes an untouched side
@@ -236,9 +272,10 @@ class ServingSnapshot {
     return boundary_summary_;
   }
 
-  /// Heap bytes held by this snapshot. Shared sides are counted in full in
-  /// every snapshot that references them (per-handle accounting, not
-  /// deduplicated across versions).
+  /// Heap bytes held by this snapshot. A graph both sides share is counted
+  /// once; shared sides are counted in full in every snapshot that
+  /// references them (per-handle accounting, not deduplicated across
+  /// versions).
   size_t MemoryBytes() const;
 
  private:

@@ -2,9 +2,11 @@
 
 #include "serve/snapshot_manager.h"
 
-#include <future>
+#include <algorithm>
+#include <chrono>
 #include <utility>
 
+#include "graph/shard_view.h"
 #include "util/common.h"
 
 namespace qpgc {
@@ -46,15 +48,8 @@ void SnapshotManager::Slot::store(std::shared_ptr<const ServingSnapshot> p) {
 
 SnapshotManager::SnapshotManager(Graph g, SnapshotManagerOptions options)
     : g_(std::move(g)), options_(std::move(options)) {
-  // The two sides read only g_ and write only their own artifact, so
-  // compressB runs on a second thread beside compressR (deferred onto this
-  // one when no thread can start). The future's destructor joins it on
-  // every path, so g_ outlives it even if CompressR throws.
-  std::future<PatternCompression> pattern =
-      std::async(std::launch::async | std::launch::deferred,
-                 [this] { return CompressB(g_); });
-  rc_ = CompressR(g_);
-  pc_ = pattern.get();
+  has_ghosts_ = std::ranges::any_of(g_.labels(), IsGhostLabel);
+  Compress(/*reach=*/true, /*pattern=*/true);
   Publish();  // version 1: Acquire() never returns null
 }
 
@@ -65,9 +60,115 @@ SnapshotManager::SnapshotManager(Graph g, ReachCompression rc,
       options_(std::move(options)),
       rc_(std::move(rc)),
       pc_(std::move(pc)) {
-  QPGC_CHECK(rc_.original_num_nodes == g_.num_nodes() &&
-             pc_.original_num_nodes == g_.num_nodes());
+  QPGC_CHECK(rc_->original_num_nodes == g_.num_nodes() &&
+             pc_->original_num_nodes == g_.num_nodes());
+  has_ghosts_ = std::ranges::any_of(g_.labels(), IsGhostLabel);
+  DropArtifactsThatDoNotPay();
   Publish();  // version 1: Acquire() never returns null
+}
+
+// The future's destructor joins a re-check in flight; it holds its own
+// freeze, so nothing of this manager needs to outlive it.
+SnapshotManager::~SnapshotManager() = default;
+
+const ReachCompression& SnapshotManager::reach_artifact() const {
+  QPGC_CHECK(rc_.has_value());
+  return *rc_;
+}
+
+const PatternCompression& SnapshotManager::pattern_artifact() const {
+  QPGC_CHECK(pc_.has_value());
+  return *pc_;
+}
+
+void SnapshotManager::Compress(bool reach, bool pattern) {
+  // The two sides read only g_ and write only their own artifact, so
+  // compressB runs on a second thread beside compressR (deferred onto this
+  // one when no thread can start). The future's destructor joins it on
+  // every path, so g_ outlives it even if CompressR throws.
+  std::future<PatternCompression> pattern_side;
+  if (pattern) {
+    pattern_side = std::async(std::launch::async | std::launch::deferred,
+                              [this] { return CompressB(g_); });
+  }
+  if (reach) {
+    rc_ = CompressR(g_);
+    reach_measured_epoch_ = graph_epoch_;
+    reach_dirty_ = true;
+  }
+  if (pattern) {
+    pc_ = pattern_side.get();
+    pattern_measured_epoch_ = graph_epoch_;
+    pattern_dirty_ = true;
+  }
+  DropArtifactsThatDoNotPay();
+}
+
+void SnapshotManager::DropArtifactsThatDoNotPay() {
+  if (rc_.has_value() && rc_->CompressionRatio() >= kIdentityRatio) {
+    rc_.reset();
+    reach_dirty_ = true;
+  }
+  if (pc_.has_value() && pc_->CompressionRatio() >= kIdentityRatio) {
+    pc_.reset();
+    pattern_dirty_ = true;
+  }
+}
+
+void SnapshotManager::CollectRecheck() {
+  if (!recheck_.valid()) return;
+  // A re-check that could not get a thread was deferred: it runs here, on
+  // the writer, as the sequential fallback.
+  if (recheck_.wait_for(std::chrono::seconds(0)) ==
+      std::future_status::timeout) {
+    return;
+  }
+  AdoptRecheck(recheck_.get());
+}
+
+void SnapshotManager::WaitForRecheck() {
+  if (recheck_.valid()) AdoptRecheck(recheck_.get());
+}
+
+void SnapshotManager::AdoptRecheck(Recheck found) {
+  const bool moved = found.epoch != graph_epoch_;
+  const bool reach_pays = found.rc.has_value();
+  const bool pattern_pays = found.pc.has_value();
+  if (found.reach) reach_measured_epoch_ = found.epoch;
+  if (found.pattern) pattern_measured_epoch_ = found.epoch;
+  if (moved) {
+    // The re-checked freeze is out of date: compress g_ as it is now, and
+    // let the ratio decide again.
+    if (reach_pays || pattern_pays) Compress(reach_pays, pattern_pays);
+    return;
+  }
+  if (reach_pays) {
+    rc_ = std::move(found.rc);
+    reach_dirty_ = true;
+  }
+  if (pattern_pays) {
+    pc_ = std::move(found.pc);
+    pattern_dirty_ = true;
+  }
+}
+
+void SnapshotManager::StartRecheck(std::shared_ptr<const CsrGraph> frozen,
+                                   bool reach, bool pattern) {
+  // The task owns its inputs: an immutable freeze and the epoch it shows.
+  recheck_ = std::async(
+      std::launch::async | std::launch::deferred,
+      [frozen = std::move(frozen), reach, pattern, epoch = graph_epoch_] {
+        Recheck found{epoch, reach, pattern, std::nullopt, std::nullopt};
+        if (reach) {
+          ReachCompression rc = CompressR(*frozen);
+          if (rc.CompressionRatio() < kIdentityRatio) found.rc = std::move(rc);
+        }
+        if (pattern) {
+          PatternCompression pc = CompressB(*frozen);
+          if (pc.CompressionRatio() < kIdentityRatio) found.pc = std::move(pc);
+        }
+        return found;
+      });
 }
 
 ApplyStats SnapshotManager::Apply(const UpdateBatch& batch) {
@@ -77,21 +178,42 @@ ApplyStats SnapshotManager::Apply(const UpdateBatch& batch) {
 ApplyStats SnapshotManager::Apply(
     const UpdateBatch& batch,
     const std::function<void(const UpdateBatch&)>& on_applied) {
+  // Before g_ moves, so that a finished re-check can be adopted as is.
+  CollectRecheck();
   ApplyStats stats;
   const UpdateBatch effective = ApplyBatch(g_, batch);
   stats.effective_updates = effective.size();
   if (!effective.empty()) {
+    ++graph_epoch_;
     // IncPCM beside IncRCM, as in the constructor: both only read g_ and
-    // `effective`, and get() joins the worker before anything reads pc_.
-    std::future<IncPcmStats> pcm =
-        std::async(std::launch::async | std::launch::deferred,
-                   [&] { return IncPCM(g_, effective, pc_); });
-    stats.rcm = IncRCM(g_, effective, rc_);
-    stats.pcm = pcm.get();
+    // `effective`, and get() joins the worker before anything reads pc_. A
+    // side served as G itself has nothing to maintain.
+    std::future<IncPcmStats> pcm;
+    if (pc_.has_value()) {
+      pcm = std::async(std::launch::async | std::launch::deferred,
+                       [&] { return IncPCM(g_, effective, *pc_); });
+    }
+    if (rc_.has_value()) {
+      stats.rcm = IncRCM(g_, effective, *rc_);
+      reach_measured_epoch_ = graph_epoch_;
+      reach_dirty_ = reach_dirty_ || stats.rcm.kept_updates > 0;
+    } else {
+      reach_dirty_ = true;
+    }
+    if (pc_.has_value()) {
+      stats.pcm = pcm.get();
+      pattern_measured_epoch_ = graph_epoch_;
+      pattern_dirty_ = pattern_dirty_ || stats.pcm.kept_updates > 0;
+    } else {
+      pattern_dirty_ = true;
+    }
+    DropArtifactsThatDoNotPay();
     pending_rcm_.Accumulate(stats.rcm);
     pending_pcm_.Accumulate(stats.pcm);
     pending_updates_ += effective.size();
   }
+  stats.reach_representation = reach_representation();
+  stats.pattern_representation = pattern_representation();
   // Publish-visible side state derived from the update stream (boundary-exit
   // refcounts in sharded serving) must update before a policy-triggered
   // publish can capture it.
@@ -104,6 +226,7 @@ ApplyStats SnapshotManager::Apply(
 }
 
 PublishStats SnapshotManager::Publish(FreezeMode mode) {
+  CollectRecheck();
   PublishStats stats;
   stats.version = ++version_;
   stats.updates_included = pending_updates_;
@@ -112,25 +235,54 @@ PublishStats SnapshotManager::Publish(FreezeMode mode) {
   // (pinning it here delays its retirement past the swap: when no reader
   // holds it, this function frees it on return).
   const std::shared_ptr<const ServingSnapshot> prev = current_.load();
-  // An artifact whose accumulated incremental stats kept no updates since
-  // the last publish is bit-identical to the published one (reduced updates
-  // are dropped *before* the artifact is touched), so the previous side can
-  // be shared instead of refrozen.
-  const bool freeze_reach = mode == FreezeMode::kFull || prev == nullptr ||
-                            pending_rcm_.kept_updates > 0;
-  const bool freeze_pattern = mode == FreezeMode::kFull || prev == nullptr ||
-                              pending_pcm_.kept_updates > 0;
+  // A quotient whose incremental maintenance kept no updates since the last
+  // publish is bit-identical to the published one (reduced updates are
+  // dropped *before* the artifact is touched), so the previous side can be
+  // shared instead of refrozen. An identity side is out of date after any
+  // effective update, and a side that changed representation always is.
+  const bool freeze_reach =
+      mode == FreezeMode::kFull || prev == nullptr || reach_dirty_;
+  const bool freeze_pattern =
+      mode == FreezeMode::kFull || prev == nullptr || pattern_dirty_;
 
   // Freeze off the read path: readers keep running on the published
-  // snapshot while the new sides fill.
+  // snapshot while the new sides fill. Identity sides share one freeze of
+  // g_, made at most once here.
   Timer freeze_timer;
   stats.froze_reach = freeze_reach;
   stats.froze_pattern = freeze_pattern;
-  std::shared_ptr<const FrozenReachSide> reach =
-      freeze_reach ? FreezeFresh<FrozenReachSide>(rc_) : prev->reach_side();
-  std::shared_ptr<const FrozenPatternSide> pattern =
-      freeze_pattern ? FreezeFresh<FrozenPatternSide>(pc_)
-                     : prev->pattern_side();
+  std::shared_ptr<const CsrGraph> frozen_g;
+  const auto freeze_g = [&] {
+    if (frozen_g == nullptr) frozen_g = std::make_shared<const CsrGraph>(g_);
+    return frozen_g;
+  };
+  std::shared_ptr<const FrozenReachSide> reach;
+  if (!freeze_reach) {
+    reach = prev->reach_side();
+  } else if (rc_.has_value()) {
+    reach = FreezeFresh<FrozenReachSide>(*rc_);
+  } else {
+    auto side = std::make_shared<FrozenReachSide>();
+    side->FillIdentity(freeze_g());
+    reach = std::move(side);
+  }
+  std::shared_ptr<const FrozenPatternSide> pattern;
+  if (!freeze_pattern) {
+    pattern = prev->pattern_side();
+  } else if (pc_.has_value()) {
+    pattern = FreezeFresh<FrozenPatternSide>(*pc_);
+  } else {
+    // A shard's graph carries ghosts, which the pattern side drops.
+    auto side = std::make_shared<FrozenPatternSide>();
+    if (has_ghosts_) {
+      side->FillIdentity(g_);
+    } else {
+      side->FillIdentity(freeze_g());
+    }
+    pattern = std::move(side);
+  }
+  stats.reach_representation = reach->representation;
+  stats.pattern_representation = pattern->representation;
 
   std::shared_ptr<const std::vector<NodeId>> exits;
   if (options_.boundary_exits_provider) {
@@ -159,7 +311,7 @@ PublishStats SnapshotManager::Publish(FreezeMode mode) {
       stats.froze_summary = true;
       Timer summary_timer;
       auto built = std::make_shared<FrozenBoundarySummary>();
-      built->Build(reach->gr, reach->node_map, std::move(exits),
+      built->Build(*reach->gr, reach->node_map, std::move(exits),
                    std::move(entries));
       summary = std::move(built);
       stats.summary_freeze_secs = summary_timer.ElapsedSeconds();
@@ -181,7 +333,20 @@ PublishStats SnapshotManager::Publish(FreezeMode mode) {
   pending_updates_ = 0;
   pending_rcm_ = {};
   pending_pcm_ = {};
+  reach_dirty_ = false;
+  pattern_dirty_ = false;
   staleness_timer_.Restart();
+  // Off the critical path: would a side served as G, whose ratio was
+  // measured on an older graph, pay as a quotient again? (Usually this
+  // publish just froze it; a re-check that was still in flight then, and
+  // has since found an older graph, leaves it unmeasured.)
+  const bool recheck_reach =
+      !rc_.has_value() && reach_measured_epoch_ != graph_epoch_;
+  const bool recheck_pattern =
+      !pc_.has_value() && pattern_measured_epoch_ != graph_epoch_;
+  if (!recheck_.valid() && (recheck_reach || recheck_pattern)) {
+    StartRecheck(freeze_g(), recheck_reach, recheck_pattern);
+  }
   return stats;
 }
 

@@ -21,6 +21,22 @@
 //    the writer joins the worker before it reads the pattern side again.
 //    Callers still see one writer; the artifacts and ApplyStats are those
 //    of running the sides one after the other.
+//  * Compress only where it pays. A side whose ratio |Gr| / |G| at its
+//    last (re)compression — the constructor's, a re-check's, or the one
+//    IncRCM / IncPCM just maintained — is at least kIdentityRatio is served
+//    as G itself (SideRepresentation::kIdentity, the trivial <R, F, P> with
+//    R = id): the manager drops its artifact, runs no incremental
+//    maintenance for it, and each Publish() that finds the graph moved
+//    freezes G once, shared by both sides when both are identity.
+//  * Re-checks run off the critical path. A Publish() that finds an
+//    identity side whose ratio was measured on an older graph — usually it
+//    just froze that side — starts, unless one is in flight, a background
+//    task that compresses that immutable freeze. The writer collects it at
+//    a later Apply() / Publish() without waiting; a side whose re-checked
+//    ratio is below kIdentityRatio becomes a quotient again — the
+//    re-check's own result when the graph has not moved since the freeze,
+//    else one recompression of the graph. Constructors start none, and the
+//    destructor joins one in flight (docs/CONCURRENCY.md).
 //  * Any number of reader threads call Acquire() (or go through
 //    serve/query_service.h). A reader pins the current snapshot with a
 //    shared_ptr for the duration of a query and runs on it lock-free.
@@ -59,7 +75,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/pattern_scheme.h"
@@ -89,6 +107,13 @@
 #endif
 
 namespace qpgc {
+
+/// θ: a side whose compression ratio at its last (re)compression is at
+/// least this is served as G itself. A quotient that merges under 1% of G
+/// saves under 1% of the graph a read searches, yet IncRCM / IncPCM cost
+/// about a recompression per batch, against a freeze of G at publish
+/// (docs/ARCHITECTURE.md has the measured crossover).
+inline constexpr double kIdentityRatio = 0.99;
 
 /// When the manager publishes a fresh snapshot on its own.
 struct PublishPolicy {
@@ -169,15 +194,22 @@ struct PublishStats {
   /// inside freeze_secs).
   bool froze_summary = false;
   double summary_freeze_secs = 0.0;
+  /// How each published side represents its compression.
+  SideRepresentation reach_representation = SideRepresentation::kQuotient;
+  SideRepresentation pattern_representation = SideRepresentation::kQuotient;
 };
 
 /// What one Apply() did.
 struct ApplyStats {
   /// Updates surviving ApplyBatch's no-op elimination.
   size_t effective_updates = 0;
-  /// Incremental-maintenance work counters for this batch.
+  /// Incremental-maintenance work counters for this batch (zero for a side
+  /// served as G itself, which no maintenance touches).
   IncRcmStats rcm;
   IncPcmStats pcm;
+  /// How each side is represented once this Apply() is done.
+  SideRepresentation reach_representation = SideRepresentation::kQuotient;
+  SideRepresentation pattern_representation = SideRepresentation::kQuotient;
   /// Set when the publish policy fired within this Apply().
   bool published = false;
   PublishStats publish;
@@ -187,6 +219,7 @@ class SnapshotManager {
  public:
   /// Takes ownership of the initial graph, compresses it (batch compressR +
   /// compressB), and publishes version 1 — Acquire() never returns null.
+  /// A side whose ratio is at least kIdentityRatio is served as G itself.
   explicit SnapshotManager(Graph g, SnapshotManagerOptions options = {});
 
   /// Adopts pre-built compressed artifacts instead of recompressing — the
@@ -194,9 +227,13 @@ class SnapshotManager {
   /// (storage/snapshot_io.h ReconstructArtifacts). The artifacts must
   /// describe exactly `g` (storage's reconstruction probes check this);
   /// incremental maintenance then continues as if this manager had built
-  /// them. Publishes version 1 from the adopted state.
+  /// them, and an artifact whose ratio is at least kIdentityRatio is served
+  /// as G itself. Publishes version 1 from the adopted state.
   SnapshotManager(Graph g, ReachCompression rc, PatternCompression pc,
                   SnapshotManagerOptions options = {});
+
+  /// Joins a re-check in flight.
+  ~SnapshotManager();
 
   SnapshotManager(const SnapshotManager&) = delete;
   SnapshotManager& operator=(const SnapshotManager&) = delete;
@@ -218,18 +255,31 @@ class SnapshotManager {
   /// Freezes the current compressed state into a new snapshot and
   /// atomically swaps it in as the published one. Under
   /// FreezeMode::kAuto an artifact with no kept updates since the last
-  /// publish is shared from the previous snapshot instead of refrozen.
+  /// publish is shared from the previous snapshot instead of refrozen; a
+  /// side served as G itself is refrozen after every effective update.
   PublishStats Publish(FreezeMode mode = FreezeMode::kAuto);
+
+  /// Blocks until the re-check in flight, if any, finishes, and adopts what
+  /// it found, as the next Apply() / Publish() would have. Apply() and
+  /// Publish() never wait for a re-check; this is the deterministic switch
+  /// point for callers that need one (tests, tools).
+  void WaitForRecheck();
 
   /// The mutable source of truth (writer-side inspection).
   const Graph& graph() const QPGC_LIFETIME_BOUND { return g_; }
-  /// The maintained artifacts the next Publish() will freeze.
-  const ReachCompression& reach_artifact() const QPGC_LIFETIME_BOUND {
-    return rc_;
+  /// How each side is represented now; the next Publish() freezes it so.
+  SideRepresentation reach_representation() const {
+    return rc_.has_value() ? SideRepresentation::kQuotient
+                           : SideRepresentation::kIdentity;
   }
-  const PatternCompression& pattern_artifact() const QPGC_LIFETIME_BOUND {
-    return pc_;
+  SideRepresentation pattern_representation() const {
+    return pc_.has_value() ? SideRepresentation::kQuotient
+                           : SideRepresentation::kIdentity;
   }
+  /// The maintained artifacts the next Publish() will freeze. Only a
+  /// quotient side has one (checked).
+  const ReachCompression& reach_artifact() const QPGC_LIFETIME_BOUND;
+  const PatternCompression& pattern_artifact() const QPGC_LIFETIME_BOUND;
 
   /// Version of the latest published snapshot.
   uint64_t published_version() const { return version_; }
@@ -284,12 +334,49 @@ class SnapshotManager {
 #endif
   };
 
+  // What a re-check found on the freeze taken at graph epoch `epoch`: which
+  // identity sides it measured, and the quotients among them that pay. One
+  // that does not is freed on the re-check's own thread: tearing down an
+  // artifact's per-node vectors costs the writer milliseconds.
+  struct Recheck {
+    uint64_t epoch = 0;
+    bool reach = false;
+    bool pattern = false;
+    std::optional<ReachCompression> rc;
+    std::optional<PatternCompression> pc;
+  };
+
   bool ShouldAutoPublish() const;
+  // Compresses the requested sides of g_ (compressB beside compressR), and
+  // serves each that does not pay as G itself.
+  void Compress(bool reach, bool pattern);
+  // Drops each artifact whose ratio reached kIdentityRatio.
+  void DropArtifactsThatDoNotPay();
+  // Adopts a finished re-check without waiting for one still running.
+  void CollectRecheck();
+  void AdoptRecheck(Recheck found);
+  // Starts a re-check of the requested identity sides on `frozen`, a freeze
+  // of g_ as it is now.
+  void StartRecheck(std::shared_ptr<const CsrGraph> frozen, bool reach,
+                    bool pattern);
 
   Graph g_;
   SnapshotManagerOptions options_;
-  ReachCompression rc_;
-  PatternCompression pc_;
+  // The maintained quotients; empty while the side is served as G itself.
+  std::optional<ReachCompression> rc_;
+  std::optional<PatternCompression> pc_;
+  // g_ carries ghost nodes (a shard's graph); labels never change.
+  bool has_ghosts_ = false;
+  // Counts the Apply() calls that moved g_, and records for each side the
+  // count at which its ratio was last measured.
+  uint64_t graph_epoch_ = 0;
+  uint64_t reach_measured_epoch_ = 0;
+  uint64_t pattern_measured_epoch_ = 0;
+  // Whether a side's frozen form is out of date since the last publish.
+  bool reach_dirty_ = true;
+  bool pattern_dirty_ = true;
+  // The re-check in flight; it reads only its own freeze of g_.
+  std::future<Recheck> recheck_;
 
   uint64_t version_ = 0;
   size_t pending_updates_ = 0;

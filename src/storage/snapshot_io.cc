@@ -128,7 +128,7 @@ class ArtifactWriter {
 // ---------------------------------------------------------------------------
 
 // The out-direction and labels; CsrGraph::AdoptCsr derives the in-direction.
-void CopyCsr(const MmapCsrGraph& mapped, CsrGraph* out) {
+std::shared_ptr<const CsrGraph> CopyCsr(const MmapCsrGraph& mapped) {
   const size_t n = mapped.num_nodes();
   std::vector<uint64_t> offsets(n + 1, 0);
   std::vector<Label> labels(n);
@@ -137,17 +137,19 @@ void CopyCsr(const MmapCsrGraph& mapped, CsrGraph* out) {
     labels[u] = mapped.label(u);
   }
   const std::span<const NodeId> targets = mapped.OutEdgeTargets();
+  auto out = std::make_shared<CsrGraph>();
   out->AdoptCsr(std::move(offsets), {targets.begin(), targets.end()},
                 std::move(labels));
+  return out;
 }
 
 LoadedSnapshot CopyToHeap(const MmapSnapshot& mapped) {
   auto reach = std::make_shared<FrozenReachSide>();
-  CopyCsr(mapped.reach_gr(), &reach->gr);
+  reach->gr = CopyCsr(mapped.reach_gr());
   reach->node_map.assign(mapped.reach_map().begin(), mapped.reach_map().end());
 
   auto pattern = std::make_shared<FrozenPatternSide>();
-  CopyCsr(mapped.pattern_gr(), &pattern->gr);
+  pattern->gr = CopyCsr(mapped.pattern_gr());
   pattern->node_map.assign(mapped.pattern_map().begin(),
                            mapped.pattern_map().end());
   const size_t blocks = mapped.pattern_gr().num_nodes();
@@ -175,7 +177,7 @@ LoadedSnapshot CopyToHeap(const MmapSnapshot& mapped) {
     // stored, always rebuilt, so it cannot drift from the graph it
     // summarizes. Open checked both tables ascending and in range.
     auto built = std::make_shared<FrozenBoundarySummary>();
-    built->Build(reach->gr, reach->node_map, exits,
+    built->Build(*reach->gr, reach->node_map, exits,
                  std::make_shared<const std::vector<NodeId>>(
                      mapped.boundary_entries().begin(),
                      mapped.boundary_entries().end()));
@@ -305,23 +307,27 @@ Status SaveSnapshot(const ServingSnapshot& snap, const std::string& path,
   }
 
   ArtifactWriter writer(options);
-  writer.AddOffsets(SectionKind::kReachOutOffsets, reach->gr.out_offsets());
-  writer.AddTargets(SectionKind::kReachOutTargets, reach->gr.out_offsets(),
-                    reach->gr.out_targets());
-  writer.AddOffsets(SectionKind::kReachInOffsets, reach->gr.in_offsets());
-  writer.AddTargets(SectionKind::kReachInTargets, reach->gr.in_offsets(),
-                    reach->gr.in_targets());
-  writer.AddLabels(SectionKind::kReachLabels, reach->gr.labels());
+  const CsrGraph& reach_gr = *reach->gr;
+  writer.AddOffsets(SectionKind::kReachOutOffsets, reach_gr.out_offsets());
+  writer.AddTargets(SectionKind::kReachOutTargets, reach_gr.out_offsets(),
+                    reach_gr.out_targets());
+  writer.AddOffsets(SectionKind::kReachInOffsets, reach_gr.in_offsets());
+  writer.AddTargets(SectionKind::kReachInTargets, reach_gr.in_offsets(),
+                    reach_gr.in_targets());
+  // Reach labels are the fixed sigma: an identity side's graph is G, whose
+  // labels the pattern side carries, so they are not stored twice.
+  writer.AddLabels(SectionKind::kReachLabels,
+                   std::vector<Label>(reach_gr.num_nodes(), kNoLabel));
   writer.AddRawU32(SectionKind::kReachNodeMap, reach->node_map);
 
-  writer.AddOffsets(SectionKind::kPatternOutOffsets,
-                    pattern->gr.out_offsets());
-  writer.AddTargets(SectionKind::kPatternOutTargets, pattern->gr.out_offsets(),
-                    pattern->gr.out_targets());
-  writer.AddOffsets(SectionKind::kPatternInOffsets, pattern->gr.in_offsets());
-  writer.AddTargets(SectionKind::kPatternInTargets, pattern->gr.in_offsets(),
-                    pattern->gr.in_targets());
-  writer.AddLabels(SectionKind::kPatternLabels, pattern->gr.labels());
+  const CsrGraph& pattern_gr = *pattern->gr;
+  writer.AddOffsets(SectionKind::kPatternOutOffsets, pattern_gr.out_offsets());
+  writer.AddTargets(SectionKind::kPatternOutTargets, pattern_gr.out_offsets(),
+                    pattern_gr.out_targets());
+  writer.AddOffsets(SectionKind::kPatternInOffsets, pattern_gr.in_offsets());
+  writer.AddTargets(SectionKind::kPatternInTargets, pattern_gr.in_offsets(),
+                    pattern_gr.in_targets());
+  writer.AddLabels(SectionKind::kPatternLabels, pattern_gr.labels());
   writer.AddRawU32(SectionKind::kPatternNodeMap, pattern->node_map);
   writer.AddOffsets(SectionKind::kMemberOffsets, pattern->member_offsets);
   writer.AddRawU32(SectionKind::kMemberFlat, pattern->member_flat);
@@ -413,23 +419,35 @@ Result<LoadedShardSet> LoadShardSet(const std::vector<std::string>& paths,
   return set;
 }
 
-Result<ReconstructedArtifacts> ReconstructArtifacts(
-    const Graph& g, const ServingSnapshot& snap) {
-  if (!snap.boundary_exits().empty() || snap.boundary_summary() != nullptr ||
-      !snap.pattern_cross_edges().empty()) {
-    return Status::InvalidArgument(
-        "adoption requires an unsharded snapshot (per-shard artifacts route "
-        "through LoadShardSet + PinnedShards instead)");
-  }
-  const size_t n = g.num_nodes();
-  if (snap.original_num_nodes() != n) {
-    return Status::InvalidArgument("graph/snapshot node count mismatch");
-  }
+namespace {
 
-  ReconstructedArtifacts out;
-  ReachCompression& rc = out.rc;
+// A side saved as G itself (serve/snapshot_manager.h): the identity node
+// map over exactly g's edges. The file holds no quotient to rebuild then.
+bool IsIdentityImage(const CsrGraph& side_gr,
+                     const std::vector<NodeId>& node_map, const Graph& g) {
+  if (side_gr.num_nodes() != g.num_nodes() ||
+      side_gr.num_edges() != g.num_edges()) {
+    return false;
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (node_map[v] != v ||
+        !std::ranges::equal(side_gr.OutNeighbors(v), g.OutNeighbors(v))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Status ReconstructReach(const Graph& g, const ServingSnapshot& snap,
+                        ReachCompression* out) {
   const CsrGraph& reach_gr = snap.reach_gr();
   const std::vector<NodeId>& reach_map = snap.reach_map();
+  if (IsIdentityImage(reach_gr, reach_map, g)) {
+    *out = CompressR(g);
+    return Status::Ok();
+  }
+  ReachCompression& rc = *out;
+  const size_t n = g.num_nodes();
   const size_t nc = reach_gr.num_nodes();
   rc.original_num_nodes = n;
   rc.original_size = g.size();
@@ -482,11 +500,29 @@ Result<ReconstructedArtifacts> ReconstructArtifacts(
     }
     rc.quotient = builder.Build();
   }
+  // A valid quotient is a DAG but for its self-loops: DagTopoRanks would
+  // abort on any longer cycle.
+  if (!TryTopologicalOrder(rc.gr).has_value()) {
+    return Status::InvalidArgument(
+        "reach side is neither a quotient nor the identity image of this "
+        "graph (its quotient has a cycle)");
+  }
   rc.ranks = DagTopoRanks(rc.gr);
+  return Status::Ok();
 
-  PatternCompression& pc = out.pc;
+}
+
+Status ReconstructPattern(const Graph& g, const ServingSnapshot& snap,
+                          PatternCompression* out) {
   const CsrGraph& pattern_gr = snap.pattern_gr();
   const std::vector<NodeId>& pattern_map = snap.pattern_map();
+  if (IsIdentityImage(pattern_gr, pattern_map, g) &&
+      pattern_gr.labels() == g.labels()) {
+    *out = CompressB(g);
+    return Status::Ok();
+  }
+  PatternCompression& pc = *out;
+  const size_t n = g.num_nodes();
   const size_t np = pattern_gr.num_nodes();
   pc.original_num_nodes = n;
   pc.original_size = g.size();
@@ -519,6 +555,27 @@ Result<ReconstructedArtifacts> ReconstructArtifacts(
     pattern_gr.ForEachEdge([&](NodeId u, NodeId v) { builder.AddEdge(u, v); });
     pc.gr = builder.Build();
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<ReconstructedArtifacts> ReconstructArtifacts(
+    const Graph& g, const ServingSnapshot& snap) {
+  if (!snap.boundary_exits().empty() || snap.boundary_summary() != nullptr ||
+      !snap.pattern_cross_edges().empty()) {
+    return Status::InvalidArgument(
+        "adoption requires an unsharded snapshot (per-shard artifacts route "
+        "through LoadShardSet + PinnedShards instead)");
+  }
+  const size_t n = g.num_nodes();
+  if (snap.original_num_nodes() != n) {
+    return Status::InvalidArgument("graph/snapshot node count mismatch");
+  }
+
+  ReconstructedArtifacts out;
+  if (Status s = ReconstructReach(g, snap, &out.rc); !s.ok()) return s;
+  if (Status s = ReconstructPattern(g, snap, &out.pc); !s.ok()) return s;
   return out;
 }
 

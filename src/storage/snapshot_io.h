@@ -152,9 +152,12 @@ struct ReconstructedArtifacts {
 /// sides carry the *reduced* reach quotient; the edge-faithful unreduced
 /// quotient that IncRCM requires is rebuilt from `g` in O(|V| + |E|)
 /// (mirroring CompressR's construction), so post-adoption incremental
-/// maintenance is exact. Rejects sharded snapshots (ghost blocks / cross
-/// edges / boundary tables) and graphs whose node count or labels disagree
-/// with the snapshot.
+/// maintenance is exact. A side saved as G itself — the identity node map
+/// over exactly g's edges (serve/snapshot_manager.h) — holds no quotient,
+/// so that side is compressed from `g` instead. Rejects sharded snapshots
+/// (ghost blocks / cross edges / boundary tables), graphs whose node count
+/// or labels disagree with the snapshot, and a reach side that is neither
+/// a quotient (a DAG but for self-loops) nor the identity image of `g`.
 Result<ReconstructedArtifacts> ReconstructArtifacts(
     const Graph& g, const ServingSnapshot& snap);
 

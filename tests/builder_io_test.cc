@@ -116,5 +116,34 @@ TEST(IoTest, LabelOutOfRangeRejected) {
   std::remove(path.c_str());
 }
 
+// Labels in [2^31, 2^32) other than kNoLabel are reserved for ghost nodes,
+// and a label must fit in 32 bits: both are corrupt input, not a crash
+// later in serving nor a silent truncation.
+TEST(IoTest, LabelInGhostRangeOrPast32BitsRejected) {
+  const std::string path = ::testing::TempDir() + "/qpgc_ghostlabel_test.txt";
+  for (const char* label : {"2147483648", "4000000000", "4294967294",
+                            "4294967296", "18446744073709551615"}) {
+    SCOPED_TRACE(label);
+    {
+      std::ofstream out(path);
+      out << "0 1\n1 " << label << "\n";
+    }
+    Graph g(3);
+    const Status status = LoadLabels(g, path);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kCorruptData);
+  }
+  // The largest ordinary label and the unlabeled marker still load.
+  {
+    std::ofstream out(path);
+    out << "0 2147483647\n1 4294967295\n";
+  }
+  Graph g(3);
+  ASSERT_TRUE(LoadLabels(g, path).ok());
+  EXPECT_EQ(g.label(0), 2147483647u);
+  EXPECT_EQ(g.label(1), kNoLabel);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace qpgc

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/adversarial.h"
 #include "gen/uniform.h"
 #include "gen/update_gen.h"
 #include "graph/shard_view.h"
@@ -120,9 +122,9 @@ TEST(ServingSnapshotTest, RefreezeCarriesNoResidueAcrossVersions) {
   fresh_reach.Fill(CompressR(g));
   FrozenPatternSide fresh_pattern;
   fresh_pattern.Fill(CompressB(g));
-  ExpectSameCsr(reach.gr, fresh_reach.gr);
+  ExpectSameCsr(*reach.gr, *fresh_reach.gr);
   EXPECT_EQ(reach.node_map, fresh_reach.node_map);
-  ExpectSameCsr(pattern.gr, fresh_pattern.gr);
+  ExpectSameCsr(*pattern.gr, *fresh_pattern.gr);
   EXPECT_EQ(pattern.node_map, fresh_pattern.node_map);
   EXPECT_EQ(pattern.member_offsets, fresh_pattern.member_offsets);
   EXPECT_EQ(pattern.member_flat, fresh_pattern.member_flat);
@@ -216,14 +218,30 @@ TEST(SnapshotManagerTest, PublishWithNoUpdatesSharesBothSides) {
   EXPECT_NE(v1.get(), v2.get());
 }
 
+// Appends a cycle of `length` fresh nodes labeled `label`. Each quotient
+// collapses it into one class, so both sides of a tiny test graph pay as
+// quotients instead of being served as G itself.
+Graph WithCollapsingCycle(Graph g, size_t length, Label label) {
+  const NodeId first = static_cast<NodeId>(g.num_nodes());
+  for (size_t i = 0; i < length; ++i) g.AddNode(label);
+  for (size_t i = 0; i < length; ++i) {
+    g.AddEdge(first + static_cast<NodeId>(i),
+              first + static_cast<NodeId>((i + 1) % length));
+  }
+  return g;
+}
+
 TEST(SnapshotManagerTest, PatternOnlyRedundantUpdateSkipsPatternFreeze) {
   // u (label 0) -> w1; w1 and w2 are bisimilar sinks (label 1). Inserting
   // (u, w2) is redundant for the bisimulation quotient (u keeps child w1 in
   // w2's block: minDelta drops it) but changes reachability (u did not
-  // reach w2), so a publish must refreeze the reach side only.
+  // reach w2), so a publish must refreeze the reach side only. The cycle
+  // makes both quotients pay: only a maintained quotient can skip a freeze.
   Graph g(std::vector<Label>{0, 1, 1});
   g.AddEdge(0, 1);
-  SnapshotManager mgr(g);
+  SnapshotManager mgr(WithCollapsingCycle(std::move(g), 20, 2));
+  ASSERT_EQ(mgr.reach_representation(), SideRepresentation::kQuotient);
+  ASSERT_EQ(mgr.pattern_representation(), SideRepresentation::kQuotient);
   const auto v1 = mgr.Acquire();
   EXPECT_FALSE(v1->Reach(0, 2));
 
@@ -253,11 +271,13 @@ TEST(SnapshotManagerTest, ReachOnlyRedundantUpdateSkipsReachFreeze) {
   // Chain u -> x -> v with distinct labels. Inserting the shortcut (u, v)
   // changes no reachability (the Gr-closure redundancy rule drops it) but
   // adds a new successor block to u, so the publish must refreeze the
-  // pattern side only.
+  // pattern side only. The cycle makes both quotients pay, as above.
   Graph g(std::vector<Label>{0, 1, 2});
   g.AddEdge(0, 1);
   g.AddEdge(1, 2);
-  SnapshotManager mgr(g);
+  SnapshotManager mgr(WithCollapsingCycle(std::move(g), 20, 3));
+  ASSERT_EQ(mgr.reach_representation(), SideRepresentation::kQuotient);
+  ASSERT_EQ(mgr.pattern_representation(), SideRepresentation::kQuotient);
   const auto v1 = mgr.Acquire();
 
   UpdateBatch batch;
@@ -279,6 +299,158 @@ TEST(SnapshotManagerTest, ReachOnlyRedundantUpdateSkipsReachFreeze) {
       EXPECT_EQ(v2->Reach(u, v), BfsReaches(truth, u, v));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Sides served as G itself: a quotient that merges (almost) nothing is not
+// maintained; the side is a freeze of G, shared by both sides.
+// ---------------------------------------------------------------------------
+
+// A path 0 -> 1 -> ... -> n-1. Reachability merges nothing on a path, and
+// neither does bisimulation (each node's distance to the end differs), so
+// both sides are served as G itself for any labeling.
+Graph PathGraph(size_t n, bool one_label) {
+  std::vector<Label> labels(n, 0);
+  if (!one_label) {
+    for (size_t v = 0; v < n; ++v) labels[v] = static_cast<Label>(v % 3);
+  }
+  Graph g(std::move(labels));
+  for (NodeId v = 0; v + 1 < n; ++v) g.AddEdge(v, v + 1);
+  return g;
+}
+
+void ExpectAnswersLikeGraph(const ServingSnapshot& snap, const Graph& truth,
+                            uint64_t seed) {
+  for (const ReachQuery& q : RandomReachQueries(truth.num_nodes(), 200, seed)) {
+    for (const PathMode mode : {PathMode::kReflexive, PathMode::kNonEmpty}) {
+      EXPECT_EQ(snap.Reach(q.u, q.v, mode), BfsReaches(truth, q.u, q.v, mode))
+          << "reach(" << q.u << ", " << q.v << ")";
+    }
+  }
+  for (const PatternQuery& q : TestPatterns(truth, 4, seed + 1)) {
+    const MatchResult want = Match(truth, q);
+    EXPECT_EQ(snap.Match(q).match_sets, want.match_sets);
+    EXPECT_EQ(snap.BooleanMatch(q), want.matched);
+  }
+}
+
+TEST(SnapshotManagerTest, IdentitySidesShareOneFrozenGraph) {
+  const Graph g = PathGraph(200, /*one_label=*/false);
+  SnapshotManager mgr(g);
+  EXPECT_EQ(mgr.reach_representation(), SideRepresentation::kIdentity);
+  EXPECT_EQ(mgr.pattern_representation(), SideRepresentation::kIdentity);
+  const auto snap = mgr.Acquire();
+  EXPECT_EQ(snap->reach_representation(), SideRepresentation::kIdentity);
+  EXPECT_EQ(snap->pattern_representation(), SideRepresentation::kIdentity);
+  // One CsrGraph behind both sides, and it is G.
+  EXPECT_EQ(&snap->reach_gr(), &snap->pattern_gr());
+  EXPECT_EQ(snap->reach_side()->gr, snap->pattern_side()->gr);
+  EXPECT_EQ(snap->reach_gr().EdgeList(), g.EdgeList());
+  EXPECT_EQ(snap->pattern_gr().labels(), g.labels());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(snap->reach_map()[v], v);
+    EXPECT_EQ(snap->pattern_map()[v], v);
+    ASSERT_EQ(snap->pattern_block_members(v).size(), 1u);
+    EXPECT_EQ(snap->pattern_block_members(v)[0], v);
+  }
+  // MemoryBytes counts the shared graph once.
+  const size_t graph_bytes = snap->reach_gr().MemoryBytes();
+  EXPECT_EQ(snap->MemoryBytes(), snap->reach_side()->MemoryBytes() +
+                                     snap->pattern_side()->MemoryBytes() -
+                                     graph_bytes);
+  EXPECT_LT(snap->MemoryBytes(), snap->reach_side()->MemoryBytes() +
+                                     snap->pattern_side()->MemoryBytes());
+  ExpectAnswersLikeGraph(*snap, g, 41);
+}
+
+TEST(SnapshotManagerTest, IdentitySideRefreezesOnEveryEffectiveUpdate) {
+  SnapshotManager mgr(PathGraph(200, /*one_label=*/false));
+  const auto v1 = mgr.Acquire();
+
+  // The shortcut (0, 2) is redundant for reachability, and a maintained
+  // reach quotient would skip its freeze; an identity side is G, and G
+  // moved. No incremental maintenance runs for either side.
+  UpdateBatch batch;
+  batch.Insert(0, 2);
+  const ApplyStats applied = mgr.Apply(batch);
+  EXPECT_EQ(applied.effective_updates, 1u);
+  EXPECT_EQ(applied.rcm.kept_updates + applied.rcm.reduced_updates, 0u);
+  EXPECT_EQ(applied.pcm.kept_updates + applied.pcm.reduced_updates, 0u);
+  EXPECT_EQ(applied.reach_representation, SideRepresentation::kIdentity);
+  EXPECT_EQ(applied.pattern_representation, SideRepresentation::kIdentity);
+
+  const PublishStats stats = mgr.Publish();
+  EXPECT_TRUE(stats.froze_reach);
+  EXPECT_TRUE(stats.froze_pattern);
+  EXPECT_EQ(stats.reach_representation, SideRepresentation::kIdentity);
+  EXPECT_EQ(stats.pattern_representation, SideRepresentation::kIdentity);
+  const auto v2 = mgr.Acquire();
+  EXPECT_NE(v1->reach_side().get(), v2->reach_side().get());
+  EXPECT_NE(v1->pattern_side().get(), v2->pattern_side().get());
+  EXPECT_EQ(&v2->reach_gr(), &v2->pattern_gr());
+  EXPECT_TRUE(v2->Reach(0, 2, PathMode::kNonEmpty));
+  ExpectAnswersLikeGraph(*v2, mgr.graph(), 43);
+
+  // An ineffective batch leaves G where it was: both sides are shared.
+  UpdateBatch noop;
+  noop.Insert(0, 1);
+  EXPECT_EQ(mgr.Apply(noop).effective_updates, 0u);
+  const PublishStats shared = mgr.Publish();
+  EXPECT_FALSE(shared.froze_reach);
+  EXPECT_FALSE(shared.froze_pattern);
+  const auto v3 = mgr.Acquire();
+  EXPECT_EQ(v2->reach_side().get(), v3->reach_side().get());
+  EXPECT_EQ(v2->pattern_side().get(), v3->pattern_side().get());
+}
+
+// One inserted edge can collapse a graph the quotients did not pay on: it
+// is answered exactly at once from G itself, and the re-check that the
+// publish starts brings both quotients back.
+TEST(SnapshotManagerTest, ClosingALongPathIntoACycleSwitchesBothSidesBack) {
+  constexpr NodeId kN = 300;
+  SnapshotManager mgr(PathGraph(kN, /*one_label=*/true));
+  ASSERT_EQ(mgr.reach_representation(), SideRepresentation::kIdentity);
+  ASSERT_EQ(mgr.pattern_representation(), SideRepresentation::kIdentity);
+  EXPECT_FALSE(mgr.Acquire()->Reach(kN - 1, 0));
+
+  UpdateBatch close;
+  close.Insert(kN - 1, 0);
+  EXPECT_EQ(mgr.Apply(close).reach_representation,
+            SideRepresentation::kIdentity);
+  mgr.Publish();
+  {
+    const auto snap = mgr.Acquire();
+    EXPECT_EQ(snap->reach_representation(), SideRepresentation::kIdentity);
+    EXPECT_TRUE(snap->Reach(kN - 1, 0));
+    EXPECT_TRUE(snap->Reach(200, 5, PathMode::kNonEmpty));
+    ExpectAnswersLikeGraph(*snap, mgr.graph(), 47);
+  }
+
+  // The cycle merges every node into one class and one block.
+  mgr.WaitForRecheck();
+  EXPECT_EQ(mgr.reach_representation(), SideRepresentation::kQuotient);
+  EXPECT_EQ(mgr.pattern_representation(), SideRepresentation::kQuotient);
+  EXPECT_EQ(mgr.reach_artifact().gr.num_nodes(), 1u);
+  EXPECT_EQ(mgr.pattern_artifact().gr.num_nodes(), 1u);
+  const PublishStats back = mgr.Publish();
+  EXPECT_TRUE(back.froze_reach);
+  EXPECT_TRUE(back.froze_pattern);
+  EXPECT_EQ(back.reach_representation, SideRepresentation::kQuotient);
+  EXPECT_EQ(back.pattern_representation, SideRepresentation::kQuotient);
+  ExpectAnswersLikeGraph(*mgr.Acquire(), mgr.graph(), 53);
+
+  // Cutting the cycle open again leaves a path: the maintained quotients
+  // stop paying, and the same Apply serves both sides as G again.
+  UpdateBatch cut;
+  cut.Delete(kN / 2, kN / 2 + 1);
+  const ApplyStats opened = mgr.Apply(cut);
+  EXPECT_GT(opened.rcm.kept_updates, 0u);
+  EXPECT_EQ(opened.reach_representation, SideRepresentation::kIdentity);
+  EXPECT_EQ(opened.pattern_representation, SideRepresentation::kIdentity);
+  const PublishStats again = mgr.Publish();
+  EXPECT_EQ(again.reach_representation, SideRepresentation::kIdentity);
+  EXPECT_EQ(again.pattern_representation, SideRepresentation::kIdentity);
+  ExpectAnswersLikeGraph(*mgr.Acquire(), mgr.graph(), 59);
 }
 
 TEST(SnapshotManagerTest, SnapshotOutlivesManager) {
@@ -660,6 +832,132 @@ TEST(ServingStressTest, VersionsAreMonotoneUnderAutoPublish) {
     EXPECT_TRUE(monotone[r]) << "reader " << r << " saw versions go backwards";
     EXPECT_LE(max_seen[r], mgr.published_version());
   }
+}
+
+// Readers pin and query while the writer drives a manager whose sides are
+// served as G itself through every change of representation: batches that
+// keep a grid acyclic (identity sides, a re-check after each publish), one
+// that closes a cycle through it (the re-check's quotients are adopted) and
+// one that opens it again (the maintained quotients stop paying).
+TEST(ServingIdentityStressTest, ReadersPinWhileRechecksRun) {
+  constexpr size_t kReaders = 3;
+  constexpr size_t kRounds = 12;
+  constexpr size_t kCloseRound = 4;
+  constexpr size_t kOpenRound = 8;
+  constexpr size_t kMaxObservationsPerReader = 1500;
+  constexpr NodeId kSide = 24;
+
+  Graph initial = DirectedGrid(kSide, kSide);
+  AssignZipfLabels(initial, 3, 1.1, 5);
+  const std::vector<PatternQuery> patterns = TestPatterns(initial, 4, 67);
+  SnapshotManager mgr(initial);
+  ASSERT_EQ(mgr.reach_representation(), SideRepresentation::kIdentity);
+  ASSERT_EQ(mgr.pattern_representation(), SideRepresentation::kIdentity);
+  // Written by the writer only, read after join.
+  std::unordered_map<uint64_t, Graph> version_graph;
+  version_graph.emplace(1, initial);
+
+  std::atomic<bool> done{false};
+  std::vector<std::vector<Observation>> observed(kReaders);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(8100 + r);
+      auto& log = observed[r];
+      const size_t n = initial.num_nodes();
+      while (!done.load(std::memory_order_relaxed) &&
+             log.size() < kMaxObservationsPerReader) {
+        const auto snap = mgr.Acquire();
+        Observation ob;
+        ob.version = snap->version();
+        if (rng.Uniform(8) == 0) {
+          ob.kind = Observation::Kind::kMatch;
+          ob.pattern = rng.Uniform(patterns.size());
+          const MatchResult m = snap->Match(patterns[ob.pattern]);
+          ob.answer = m.matched;
+          ob.match_sets = m.match_sets;
+        } else {
+          ob.kind = Observation::Kind::kReach;
+          ob.u = static_cast<NodeId>(rng.Uniform(n));
+          ob.v = static_cast<NodeId>(rng.Uniform(n));
+          ob.answer = snap->Reach(ob.u, ob.v);
+        }
+        log.push_back(std::move(ob));
+      }
+    });
+  }
+
+  // Single writer. Churn deletes grid edges and reinserts deleted ones, so
+  // the graph stays a subgraph of the grid (acyclic) between the closing
+  // and the opening round.
+  const NodeId corner = kSide * kSide - 1;
+  std::vector<std::pair<NodeId, NodeId>> deleted;
+  Rng rng(77);
+  for (size_t round = 1; round <= kRounds; ++round) {
+    UpdateBatch batch;
+    if (round == kCloseRound) {
+      // With no re-check in flight, the closing publish starts one.
+      mgr.WaitForRecheck();
+      batch.Insert(corner, 0);
+    } else if (round == kOpenRound) {
+      batch.Delete(corner, 0);
+    } else {
+      for (int i = 0; i < 6; ++i) {
+        const NodeId u = static_cast<NodeId>(rng.Uniform(corner));
+        const std::span<const NodeId> out = mgr.graph().OutNeighbors(u);
+        if (out.empty() || (u == corner)) continue;
+        const NodeId v = out[rng.Uniform(out.size())];
+        if (v == 0) continue;  // the closing edge goes only at kOpenRound
+        batch.Delete(u, v);
+        deleted.emplace_back(u, v);
+      }
+      if (deleted.size() > 6) {
+        const auto [u, v] = deleted.front();
+        deleted.erase(deleted.begin());
+        batch.Insert(u, v);
+      }
+    }
+    mgr.Apply(batch);
+    const PublishStats stats = mgr.Publish();
+    version_graph.emplace(stats.version, mgr.graph());
+    if (round == kCloseRound) {
+      // Deterministic switch point: the re-check this publish started
+      // finds the collapsed grid, and the next publish serves quotients.
+      mgr.WaitForRecheck();
+      EXPECT_EQ(mgr.reach_representation(), SideRepresentation::kQuotient);
+      const PublishStats back = mgr.Publish();
+      version_graph.emplace(back.version, mgr.graph());
+    }
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (auto& t : readers) t.join();
+
+  std::unordered_map<uint64_t, std::vector<MatchResult>> match_oracle;
+  size_t checked = 0;
+  for (const auto& log : observed) {
+    for (const Observation& ob : log) {
+      auto it = version_graph.find(ob.version);
+      ASSERT_NE(it, version_graph.end()) << "unknown version " << ob.version;
+      const Graph& truth = it->second;
+      if (ob.kind == Observation::Kind::kReach) {
+        ASSERT_EQ(ob.answer, BfsReaches(truth, ob.u, ob.v))
+            << "version " << ob.version << " reach(" << ob.u << ", " << ob.v
+            << ")";
+      } else {
+        auto& cached = match_oracle[ob.version];
+        if (cached.empty()) {
+          for (const PatternQuery& p : patterns) {
+            cached.push_back(Match(truth, p));
+          }
+        }
+        ASSERT_EQ(ob.match_sets, cached[ob.pattern].match_sets)
+            << "version " << ob.version << " pattern " << ob.pattern;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

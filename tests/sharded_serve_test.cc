@@ -495,6 +495,53 @@ TEST(ShardedServingTest, RoutedReachExactForEntriesNewerThanTargetPublish) {
   EXPECT_FALSE(service.Reach(5, 0));
 }
 
+// DirectedGrid(141, 141) in two shards: no shard's bisimulation quotient
+// merges a node (pattern ratio 1.00), while each shard's unreferenced ghosts
+// collapse into one reach class (reach ratio about 0.90). Every shard serves
+// its pattern side as G itself through the ghost-dropping freeze, cross
+// edges included, keeps its reach quotient, and routed reach and stitched
+// match stay exact across batches.
+TEST(ShardedServingTest, GridShardsServePatternSidesAsTheGraph) {
+  Graph g = DirectedGrid(141, 141);
+  AssignZipfLabels(g, 4, 1.1, 14);
+  ShardedManagerOptions opts;
+  opts.num_shards = 2;
+  ShardedSnapshotManager mgr(g, opts);
+  const ShardedQueryService service(mgr);
+  const auto expect_representations = [&mgr] {
+    for (uint32_t s = 0; s < mgr.num_shards(); ++s) {
+      EXPECT_EQ(mgr.shard(s).pattern_representation(),
+                SideRepresentation::kIdentity);
+      EXPECT_EQ(mgr.shard(s).reach_representation(),
+                SideRepresentation::kQuotient);
+      const auto snap = mgr.shard(s).Acquire();
+      EXPECT_EQ(snap->pattern_representation(),
+                SideRepresentation::kIdentity);
+      EXPECT_FALSE(snap->pattern_cross_edges().empty());
+      EXPECT_NE(&snap->reach_gr(), &snap->pattern_gr());
+    }
+  };
+  for (uint32_t s = 0; s < mgr.num_shards(); ++s) {
+    EXPECT_LT(mgr.shard(s).reach_artifact().CompressionRatio(),
+              kIdentityRatio);
+  }
+  expect_representations();
+  Graph mirror = g;
+  ExpectServiceMatchesOracle(service, mirror, 3100, "fresh");
+  // Deletions keep every shard's pattern side as G; the mixed round may
+  // close cycles, which merge classes on both sides.
+  for (int round = 0; round < 3; ++round) {
+    const UpdateBatch batch =
+        round < 2 ? RandomDeletions(mirror, 24, 3200 + round)
+                  : RandomMixed(mirror, 24, 0.55, 3200 + round);
+    mgr.Apply(batch);
+    ApplyBatch(mirror, batch);
+    mgr.PublishAll();
+    if (round < 2) expect_representations();
+    ExpectServiceMatchesOracle(service, mirror, 3300 + round, "after batch");
+  }
+}
+
 TEST(ShardedServingTest, StitchedQuotientCoversExactlyOwnedBlocks) {
   const Graph g = GenerateUniform(80, 260, 4, 19);
   ShardedManagerOptions opts;

@@ -361,6 +361,87 @@ TEST(StorageRoundTripTest, AdoptedManagerStaysExactUnderUpdates) {
   }
 }
 
+// A 2000-node path with one 2-cycle: its reach quotient merges two nodes
+// (ratio 0.9995), so the reach side is served and saved as G itself, and
+// the saved reach graph has a cycle without self-loops — no quotient has
+// one. The warm start compresses that side from the graph instead.
+TEST(StorageRoundTripTest, WarmStartFromIdentityReachSideWithACycle) {
+  constexpr NodeId kN = 2000;
+  std::vector<Label> labels(kN);
+  for (NodeId v = 0; v < kN; ++v) labels[v] = v % 3;
+  Graph g(std::move(labels));
+  for (NodeId v = 0; v + 1 < kN; ++v) g.AddEdge(v, v + 1);
+  g.AddEdge(1001, 1000);
+  SnapshotManager original(g);
+  ASSERT_EQ(original.reach_representation(), SideRepresentation::kIdentity);
+  const std::string path = ArtifactPath("identity_reach_cycle");
+  {
+    const auto live = original.Acquire();
+    ASSERT_TRUE(SaveSnapshot(*live, path).ok());
+  }
+  const Result<LoadedSnapshot> loaded = LoadServingSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  Result<ReconstructedArtifacts> rebuilt =
+      ReconstructArtifacts(g, *loaded.value().snapshot);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().message();
+  EXPECT_EQ(rebuilt.value().rc.gr.num_nodes(), kN - 1);
+
+  SnapshotManager adopted(g, std::move(rebuilt.value().rc),
+                          std::move(rebuilt.value().pc));
+  EXPECT_EQ(adopted.reach_representation(), SideRepresentation::kIdentity);
+  Graph mirror = g;
+  for (size_t round = 0; round < 2; ++round) {
+    const UpdateBatch batch =
+        RandomMixed(adopted.graph(), 8, 0.5, 1500 + round);
+    adopted.Apply(batch);
+    ApplyBatch(mirror, batch);
+    adopted.Publish();
+    const auto pin = adopted.Acquire();
+    ExpectAnswersMatch(*pin, *pin, mirror, 910 + round, "adopted");
+  }
+}
+
+// A reach side with a cycle that is not G itself is neither a quotient nor
+// an identity side: a status, not an abort in the topological ranking.
+TEST(StorageRoundTripTest, ReconstructRejectsCyclicReachSide) {
+  Graph g(4);
+  g.AddEdge(0, 1);
+  g.AddEdge(1, 0);
+  g.AddEdge(1, 2);
+  g.AddEdge(2, 3);
+  Graph other = g;
+  other.AddEdge(3, 2);
+  const auto snapshot_with_reach_graph = [&g](const Graph& reach_graph) {
+    auto reach = std::make_shared<FrozenReachSide>();
+    reach->FillIdentity(std::make_shared<const CsrGraph>(reach_graph));
+    auto pattern = std::make_shared<FrozenPatternSide>();
+    pattern->Fill(CompressB(g));
+    return ServingSnapshot(1, std::move(reach), std::move(pattern));
+  };
+  const std::string path = ArtifactPath("cyclic_reach_side");
+  for (const bool identity : {true, false}) {
+    SCOPED_TRACE(identity ? "identity image" : "another graph");
+    ASSERT_TRUE(
+        SaveSnapshot(snapshot_with_reach_graph(identity ? g : other), path)
+            .ok());
+    const Result<LoadedSnapshot> loaded = LoadServingSnapshot(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    const Result<ReconstructedArtifacts> rebuilt =
+        ReconstructArtifacts(g, *loaded.value().snapshot);
+    if (!identity) {
+      ASSERT_FALSE(rebuilt.ok());
+      EXPECT_EQ(rebuilt.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().message();
+    const ReachCompression want = CompressR(g);
+    EXPECT_EQ(rebuilt.value().rc.node_map, want.node_map);
+    EXPECT_TRUE(rebuilt.value().rc.gr == want.gr);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(StorageRoundTripTest, ReconstructRejectsMismatchedGraph) {
   Graph g = GenerateUniform(50, 150, 3, 5);
   SnapshotManager mgr(g);

@@ -164,6 +164,21 @@ bool ParsePartitionerFlag(const char* arg, PartitionerKind* kind,
 
 // --- save / load / query ---------------------------------------------------
 
+// "|Gr(reach)| = N, |Gr(pattern)| = M", naming a side served as G itself
+// (serve/snapshot_manager.h) instead of sizing it.
+std::string SideSizes(const ServingSnapshot& snap) {
+  const auto side = [](const char* name, SideRepresentation rep,
+                       size_t size) {
+    return rep == SideRepresentation::kIdentity
+               ? std::string(name) + " served as G"
+               : "|Gr(" + std::string(name) + ")| = " + std::to_string(size);
+  };
+  return side("reach", snap.reach_representation(), snap.reach_gr().size()) +
+         ", " +
+         side("pattern", snap.pattern_representation(),
+              snap.pattern_gr().size());
+}
+
 // Writes snaps[s] to `out` (one snapshot) or `out`.shard<s>, and reopens
 // each through the trusted fast path: that reports the exact artifact
 // length and proves the file round-trips before we claim success.
@@ -193,10 +208,9 @@ int SaveArtifacts(
       return 1;
     }
     std::printf(
-        "artifact written to %s: |Gr(reach)| = %zu, |Gr(pattern)| = %zu, "
-        "%s on disk (%s in RAM), saved in %.1fms\n",
-        path.c_str(), snaps[s]->reach_gr().size(),
-        snaps[s]->pattern_gr().size(),
+        "artifact written to %s: %s, %s on disk (%s in RAM), saved in "
+        "%.1fms\n",
+        path.c_str(), SideSizes(*snaps[s]).c_str(),
         FormatBytes(reopened.value().MappedBytes()).c_str(),
         FormatBytes(snaps[s]->MemoryBytes()).c_str(), save_ms);
   }
@@ -649,12 +663,9 @@ int CmdServeSim(const std::vector<const char*>& args) {
         static_cast<double>(match_queries.load()) / elapsed, opts.readers);
     for (uint32_t s = 0; s < manager.num_shards(); ++s) {
       const auto snap = manager.shard(s).Acquire();
-      std::printf(
-          "shard %-3u version %llu, boundary exits %zu, |Gr(reach)| = %zu, "
-          "|Gr(pattern)| = %zu\n",
-          s, static_cast<unsigned long long>(snap->version()),
-          snap->boundary_exits().size(), snap->reach_gr().size(),
-          snap->pattern_gr().size());
+      std::printf("shard %-3u version %llu, boundary exits %zu, %s\n", s,
+                  static_cast<unsigned long long>(snap->version()),
+                  snap->boundary_exits().size(), SideSizes(*snap).c_str());
     }
     if (opts.cache != CacheMode::kOff) {
       const CachedShardedQueryService cached(manager, cache_options);
@@ -716,7 +727,7 @@ int CmdServeSim(const std::vector<const char*>& args) {
       "%.1fms\n"
       "queries:   %llu reach (%.0f/s), %llu boolean-match (%.0f/s) across "
       "%zu readers\n"
-      "snapshot:  %s, |Gr(reach)| = %zu, |Gr(pattern)| = %zu\n",
+      "snapshot:  %s, %s\n",
       elapsed, updates, batches, static_cast<double>(updates) / elapsed,
       publishes, static_cast<unsigned long long>(final_snap->version()),
       max_staleness * 1e3,
@@ -725,7 +736,7 @@ int CmdServeSim(const std::vector<const char*>& args) {
       static_cast<unsigned long long>(match_queries.load()),
       static_cast<double>(match_queries.load()) / elapsed, opts.readers,
       FormatBytes(final_snap->MemoryBytes()).c_str(),
-      final_snap->reach_gr().size(), final_snap->pattern_gr().size());
+      SideSizes(*final_snap).c_str());
   if (opts.cache != CacheMode::kOff) {
     const CachedQueryService cached(manager, cache_options);
     RunCacheComparison(service, cached, workload,
