@@ -29,12 +29,12 @@ int main() {
     // The artifact's quotient is Gr before the transitive reduction: the
     // same classes, every class-level edge.
     const ReachCompression rc = CompressR(g);
-    const Graph& no_tr = rc.quotient;
+    const CsrGraph& no_tr = rc.quotient;
 
     const double tr_saving =
         no_tr.num_edges() == 0
             ? 0.0
-            : 1.0 - static_cast<double>(rc.gr.num_edges()) /
+            : 1.0 - static_cast<double>(rc.gr->num_edges()) /
                         static_cast<double>(no_tr.num_edges());
     std::printf("%-12s | %10zu %10zu %10zu %10zu | %9s\n", spec.name.c_str(),
                 g.size(), cond.dag.size(), no_tr.size(), rc.size(),

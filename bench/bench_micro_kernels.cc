@@ -158,7 +158,7 @@ BENCHMARK(BM_BfsOnGr);
 void BM_BfsCsrOnGr(benchmark::State& state) {
   const Graph g = SocialGraph(8000);
   const ReachCompression rc = CompressR(g);
-  const CsrGraph frozen(rc.gr);
+  const CsrGraph& frozen = *rc.gr;
   const auto queries = RandomReachQueries(g.num_nodes(), 64, 7);
   size_t i = 0;
   for (auto _ : state) {
@@ -183,7 +183,8 @@ Graph MatchServingGraph(int64_t which) {
 // runs all 8 serving patterns.
 void BM_MatchOnGr(benchmark::State& state) {
   const Graph g = MatchServingGraph(state.range(0));
-  const CsrGraph gr(CompressB(g).gr);
+  const PatternCompression pc = CompressB(g);
+  const CsrGraph& gr = *pc.gr;
   const std::vector<PatternQuery> patterns = ServeLoadPatterns(g, 8, 70);
   for (auto _ : state) {
     for (const PatternQuery& q : patterns) {
@@ -207,7 +208,7 @@ void BM_TwoHopBuildOnGr(benchmark::State& state) {
   const Graph g = SocialGraph(state.range(0));
   const ReachCompression rc = CompressR(g);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(TwoHopIndex::Build(rc.gr));
+    benchmark::DoNotOptimize(TwoHopIndex::Build(*rc.gr));
   }
 }
 BENCHMARK(BM_TwoHopBuildOnGr)->Arg(2000)->Arg(8000);

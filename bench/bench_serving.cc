@@ -19,6 +19,7 @@
 //
 // Env: QPGC_BENCH_SERVE_SECS overrides the throughput window (default 0.5).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -56,8 +57,16 @@ double ServeSeconds() {
   return 0.5;
 }
 
+// Median of a sample (upper median for an even count).
+double Median(std::vector<double> v) {
+  const auto mid = v.begin() + static_cast<ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid;
+}
+
 void SwapLatencyExperiment() {
-  std::printf("swap latency vs |G| (freeze off the read path, swap O(1)):\n");
+  std::printf("swap latency vs |G| (freeze off the read path, swap O(1); "
+              "medians of 20 publishes):\n");
   std::printf("%-10s %12s %12s %12s %14s\n", "|V|", "|G|", "freeze",
               "swap", "snapshot mem");
   bench::Rule();
@@ -67,29 +76,30 @@ void SwapLatencyExperiment() {
   for (const size_t n : {5000u, 20000u, 80000u}) {
     const Graph g = LabeledSocialGraph(n, 7);
     SnapshotManager mgr(g);
-    double freeze_total = 0.0, swap_total = 0.0;
+    std::vector<double> freeze_secs, swap_secs;
     for (int i = 0; i < kPublishes; ++i) {
       // kFull: with nothing pending, an auto publish would just share both
       // sides — this experiment measures the full freeze.
       const PublishStats stats = mgr.Publish(FreezeMode::kFull);
-      freeze_total += stats.freeze_secs;
-      swap_total += stats.swap_secs;
+      freeze_secs.push_back(stats.freeze_secs);
+      swap_secs.push_back(stats.swap_secs);
     }
-    const double freeze_avg = freeze_total / kPublishes;
-    const double swap_avg = swap_total / kPublishes;
+    // The median: one publish that loses the CPU would move a mean.
+    const double freeze_med = Median(std::move(freeze_secs));
+    const double swap_med = Median(std::move(swap_secs));
     if (n == 5000u) {
-      first_swap = swap_avg;
-      first_freeze = freeze_avg;
+      first_swap = swap_med;
+      first_freeze = freeze_med;
     }
-    last_swap = swap_avg;
-    last_freeze = freeze_avg;
+    last_swap = swap_med;
+    last_freeze = freeze_med;
     const size_t bytes = mgr.Acquire()->MemoryBytes();
     std::printf("%-10zu %12zu %12s %12s %12zu B\n", g.num_nodes(), g.size(),
-                bench::Secs(freeze_avg).c_str(), bench::Secs(swap_avg).c_str(),
+                bench::Secs(freeze_med).c_str(), bench::Secs(swap_med).c_str(),
                 bytes);
     const std::string suffix = ".n" + std::to_string(n);
-    bench::Metric("freeze_secs" + suffix, freeze_avg);
-    bench::Metric("swap_secs" + suffix, swap_avg);
+    bench::Metric("freeze_secs" + suffix, freeze_med);
+    bench::Metric("swap_secs" + suffix, swap_med);
   }
   bench::Rule();
   std::printf("80000 vs 5000 nodes (16x |V|): freeze grew %.1fx, swap %.1fx "

@@ -59,10 +59,11 @@ int main() {
       // Cross-check against batch recompression.
       const ReachCompression batch_rc = CompressR(g);
       const PatternCompression batch_pc = CompressB(g);
-      const bool ok_reach = batch_rc.gr.num_nodes() == rc.gr.num_nodes() &&
-                            batch_rc.gr.num_edges() == rc.gr.num_edges();
-      const bool ok_pattern = batch_pc.gr.num_nodes() == pc.gr.num_nodes() &&
-                              batch_pc.gr.num_edges() == pc.gr.num_edges();
+      const bool ok_reach = batch_rc.gr->num_nodes() == rc.gr->num_nodes() &&
+                            batch_rc.gr->num_edges() == rc.gr->num_edges();
+      const bool ok_pattern =
+          batch_pc.gr->num_nodes() == pc.gr->num_nodes() &&
+          batch_pc.gr->num_edges() == pc.gr->num_edges();
       std::printf("      cross-check vs batch recompute: reach %s, pattern "
                   "%s\n",
                   ok_reach ? "OK" : "MISMATCH",

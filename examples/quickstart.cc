@@ -30,8 +30,9 @@ int main() {
 
   // --- Reachability preserving compression (Section 3 of the paper) ------
   const ReachabilityPreservingCompression reach(g);
-  std::printf("reach Gr:   %s  (ratio %.1f%%)\n",
-              reach.artifact().gr.DebugString().c_str(),
+  const CsrGraph& reach_gr = *reach.artifact().gr;
+  std::printf("reach Gr:   |V|=%zu, |E|=%zu  (ratio %.1f%%)\n",
+              reach_gr.num_nodes(), reach_gr.num_edges(),
               reach.CompressionRatio() * 100);
   // F rewrites QR(0, 5) in O(1); any BFS answers it on Gr.
   std::printf("QR(0, 5) on Gr -> %s\n",
@@ -41,8 +42,9 @@ int main() {
 
   // --- Pattern preserving compression (Section 4) ------------------------
   const PatternCompression pc = CompressB(g);
-  std::printf("pattern Gr: %s  (ratio %.1f%%)\n", pc.gr.DebugString().c_str(),
-              pc.CompressionRatio() * 100);
+  std::printf("pattern Gr: |V|=%zu, |E|=%zu, |L|=%zu  (ratio %.1f%%)\n",
+              pc.gr->num_nodes(), pc.gr->num_edges(),
+              pc.gr->CountDistinctLabels(), pc.CompressionRatio() * 100);
 
   // Pattern: a manager within 2 hops of an archive.
   PatternQuery q;

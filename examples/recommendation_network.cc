@@ -69,7 +69,7 @@ int main() {
   const PatternCompression pc = CompressB(g);
   std::printf("\npattern-preserving compression: %zu nodes -> %zu hypernodes"
               " (Fig. 2's {BSA, MSA, FA, FA', C, C'})\n",
-              g.num_nodes(), pc.gr.num_nodes());
+              g.num_nodes(), pc.gr->num_nodes());
   const MatchResult via_gr = MatchOnCompressed(pc, qp);
   std::printf("Match(Gr) + P gives the identical answer: %s\n",
               via_gr.match_sets == direct.match_sets ? "yes" : "NO (bug!)");

@@ -44,9 +44,10 @@ int main(int argc, char** argv) {
   std::printf("compressR: %.1fms;  |G| = %zu -> |Gr| = %zu  (RCr = %.2f%%)\n",
               t.ElapsedMillis(), g.size(), rc.size(),
               rc.CompressionRatio() * 100);
-  std::printf("memory: G = %s, Gr = %s\n",
+  std::printf("memory: G = %s (CSR freeze %s), Gr (CSR) = %s\n",
               FormatBytes(g.MemoryBytes()).c_str(),
-              FormatBytes(rc.gr.MemoryBytes()).c_str());
+              FormatBytes(CsrGraph(g).MemoryBytes()).c_str(),
+              FormatBytes(rc.gr->MemoryBytes()).c_str());
 
   // Serve a query mix two ways: BFS on Gr, and a 2-hop index built ON Gr
   // (the paper's point: index techniques apply to compressed graphs as-is).
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
   const double bfs_ms = t.ElapsedMillis();
 
   t.Restart();
-  const TwoHopIndex idx = TwoHopIndex::Build(rc.gr);
+  const TwoHopIndex idx = TwoHopIndex::Build(*rc.gr);
   const double build_ms = t.ElapsedMillis();
   t.Restart();
   size_t reachable2 = 0;

@@ -38,16 +38,17 @@ MatchResult ExpandMatch(const std::vector<std::vector<NodeId>>& members,
 
 MatchResult MatchOnCompressed(const PatternCompression& pc,
                               const PatternQuery& q) {
-  return ExpandMatch(pc, Match(pc.gr, q));
+  return ExpandMatch(pc, Match(*pc.gr, q));
 }
 
 bool BooleanMatchOnCompressed(const PatternCompression& pc,
                               const PatternQuery& q) {
-  return BooleanMatch(pc.gr, q);
+  return BooleanMatch(*pc.gr, q);
 }
 
 size_t PatternCompression::MemoryBytes() const {
-  return gr.MemoryBytes() + VectorBytes(node_map) + NestedVectorBytes(members);
+  return gr->MemoryBytes() + VectorBytes(node_map) +
+         NestedVectorBytes(members);
 }
 
 }  // namespace qpgc

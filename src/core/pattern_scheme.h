@@ -11,18 +11,22 @@
 //
 // The compression pipeline is a GraphView template; the `const Graph&`
 // entry point freezes a CsrGraph snapshot once and runs both the partition
-// refinement and the quotient construction on the flat layout.
+// refinement and the quotient construction on the flat layout. Gr is built
+// straight into CSR and held behind a shared pointer, which serving
+// snapshots publish without a copy (serve/snapshot.h).
 
 #ifndef QPGC_CORE_PATTERN_SCHEME_H_
 #define QPGC_CORE_PATTERN_SCHEME_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "bisim/paige_tarjan.h"
 #include "bisim/partition.h"
 #include "graph/builder.h"
+#include "graph/csr.h"
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 #include "pattern/match.h"
@@ -33,8 +37,11 @@ namespace qpgc {
 
 /// The pattern preserving compression artifact.
 struct PatternCompression {
-  /// The compressed graph Gr: quotient by Rb, labels preserved.
-  Graph gr;
+  /// The compressed graph Gr: quotient by Rb, labels preserved. Immutable
+  /// and shared with the serving snapshots that publish it; maintenance
+  /// replaces the pointer. Non-null in every artifact compressB and incPCM
+  /// produce.
+  std::shared_ptr<const CsrGraph> gr;
   /// node_map[v] = R(v), the Gr-node (bisimulation block) of node v.
   std::vector<NodeId> node_map;
   /// members[c] = original nodes of block c (the inverse index P uses).
@@ -43,7 +50,7 @@ struct PatternCompression {
   size_t original_num_nodes = 0;
   size_t original_size = 0;
 
-  size_t size() const { return gr.size(); }
+  size_t size() const { return gr->size(); }
   /// PCr = |Gr| / |G|.
   double CompressionRatio() const {
     return original_size == 0 ? 1.0
@@ -66,15 +73,16 @@ PatternCompression CompressBFromPartition(const G& g, const Partition& p) {
     pc.members[p.block_of[v]].push_back(v);
   }
 
-  GraphBuilder builder(p.num_blocks);
+  std::vector<Label> labels(p.num_blocks);
   for (NodeId c = 0; c < p.num_blocks; ++c) {
     QPGC_CHECK(!pc.members[c].empty());
-    builder.SetLabel(static_cast<NodeId>(c), g.label(pc.members[c][0]));
+    labels[c] = g.label(pc.members[c][0]);
   }
+  CsrBuilder builder(std::move(labels));
   ForEachEdge(g, [&](NodeId u, NodeId v) {
     builder.AddEdge(p.block_of[u], p.block_of[v]);
   });
-  pc.gr = builder.Build();
+  pc.gr = std::make_shared<const CsrGraph>(builder.Build());
   return pc;
 }
 

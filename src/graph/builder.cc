@@ -37,4 +37,38 @@ Graph GraphBuilder::Build() {
   return g;
 }
 
+CsrGraph CsrBuilder::Build() {
+  const size_t n = labels_.size();
+  for (size_t u = 1; u <= n; ++u) offsets_[u] += offsets_[u - 1];
+  std::vector<NodeId> targets(edges_.size());
+  {
+    std::vector<uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
+    for (const auto& [u, v] : edges_) targets[cursor[u]++] = v;
+  }
+  std::vector<std::pair<NodeId, NodeId>>().swap(edges_);
+
+  // Sort each run and drop its duplicates, compacting the runs leftwards:
+  // the write position never passes the read position.
+  uint64_t kept = 0;
+  for (size_t u = 0; u < n; ++u) {
+    const uint64_t begin = offsets_[u];
+    const uint64_t end = offsets_[u + 1];
+    offsets_[u] = kept;
+    std::sort(targets.begin() + static_cast<ptrdiff_t>(begin),
+              targets.begin() + static_cast<ptrdiff_t>(end));
+    for (uint64_t e = begin; e < end; ++e) {
+      if (kept == offsets_[u] || targets[kept - 1] != targets[e]) {
+        targets[kept++] = targets[e];
+      }
+    }
+  }
+  offsets_[n] = kept;
+  targets.resize(kept);
+  targets.shrink_to_fit();
+
+  CsrGraph g;
+  g.AdoptCsr(std::move(offsets_), std::move(targets), std::move(labels_));
+  return g;
+}
+
 }  // namespace qpgc

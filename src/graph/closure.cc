@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <vector>
 
+#include "graph/csr.h"
+
 namespace qpgc {
 
-BitMatrix FullClosure(const Graph& g, Direction dir) {
+template <GraphView G>
+BitMatrix FullClosure(const G& g, Direction dir) {
   const size_t n = g.num_nodes();
   BitMatrix closure(n, n);
   std::vector<uint8_t> visited(n, 0);
@@ -40,5 +43,8 @@ BitMatrix FullClosure(const Graph& g, Direction dir) {
   }
   return closure;
 }
+
+template BitMatrix FullClosure<Graph>(const Graph&, Direction);
+template BitMatrix FullClosure<CsrGraph>(const CsrGraph&, Direction);
 
 }  // namespace qpgc

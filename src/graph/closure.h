@@ -10,15 +10,17 @@
 #define QPGC_GRAPH_CLOSURE_H_
 
 #include "graph/graph.h"
+#include "graph/graph_view.h"
 #include "graph/traversal.h"
 #include "util/bitset.h"
 
 namespace qpgc {
 
 /// Full non-empty-path closure of g: row u has bit v iff u reaches v via a
-/// path of length >= 1. O(|V|(|V| + |E|)) time, |V|^2/8 bytes.
-BitMatrix FullClosure(const Graph& g,
-                      Direction dir = Direction::kForward);
+/// path of length >= 1. O(|V|(|V| + |E|)) time, |V|^2/8 bytes. Instantiated
+/// for Graph and CsrGraph in closure.cc.
+template <GraphView G>
+BitMatrix FullClosure(const G& g, Direction dir = Direction::kForward);
 
 }  // namespace qpgc
 

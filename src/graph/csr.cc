@@ -27,8 +27,9 @@ CsrGraph::CsrGraph(const Graph& g)
   in_offsets_[n] = in_targets_.size();
 }
 
+template <GraphView G>
 void CsrGraph::RefreezeMapped(
-    const Graph& g, const std::vector<NodeId>& remap, size_t new_n,
+    const G& g, const std::vector<NodeId>& remap, size_t new_n,
     std::vector<std::pair<NodeId, NodeId>>* dropped_out_edges) {
   QPGC_CHECK(remap.size() == g.num_nodes());
   labels_.resize(new_n);
@@ -63,6 +64,13 @@ void CsrGraph::RefreezeMapped(
   out_offsets_[new_n] = out_targets_.size();
   in_offsets_[new_n] = in_targets_.size();
 }
+
+template void CsrGraph::RefreezeMapped<Graph>(
+    const Graph&, const std::vector<NodeId>&, size_t,
+    std::vector<std::pair<NodeId, NodeId>>*);
+template void CsrGraph::RefreezeMapped<CsrGraph>(
+    const CsrGraph&, const std::vector<NodeId>&, size_t,
+    std::vector<std::pair<NodeId, NodeId>>*);
 
 void CsrGraph::AdoptCsr(std::vector<uint64_t> out_offsets,
                         std::vector<NodeId> out_targets,

@@ -48,9 +48,11 @@ class QPGC_GSL_OWNER CsrGraph {
   /// to a dropped one is appended to it as (new source id, ORIGINAL target
   /// id) — collected in the same traversal so callers that need them (the
   /// frozen pattern side's ghost-directed cross edges, serve/snapshot.h)
-  /// do not pay a second sweep.
+  /// do not pay a second sweep. Instantiated for Graph (a shard's graph)
+  /// and CsrGraph (a maintained quotient) in csr.cc.
+  template <GraphView G>
   void RefreezeMapped(
-      const Graph& g, const std::vector<NodeId>& remap, size_t new_n,
+      const G& g, const std::vector<NodeId>& remap, size_t new_n,
       std::vector<std::pair<NodeId, NodeId>>* dropped_out_edges = nullptr);
 
   /// Adopts externally assembled out-direction CSR arrays (every per-node
@@ -129,6 +131,13 @@ class QPGC_GSL_OWNER CsrGraph {
 
   /// All edges as a vector of pairs (u, v), sorted.
   std::vector<std::pair<NodeId, NodeId>> EdgeList() const;
+
+  /// Structural equality: same node count, labels, and edge set (the
+  /// in-direction is derived from the out-direction).
+  bool operator==(const CsrGraph& other) const {
+    return labels_ == other.labels_ && out_offsets_ == other.out_offsets_ &&
+           out_targets_ == other.out_targets_;
+  }
 
   /// Heap bytes of the snapshot (contrast with Graph::MemoryBytes()).
   size_t MemoryBytes() const;

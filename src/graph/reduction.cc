@@ -10,7 +10,7 @@
 
 namespace qpgc {
 
-CsrGraph ReduceDag(const Graph& dag, size_t block_cols) {
+CsrGraph ReduceDag(const CsrGraph& dag, size_t block_cols) {
   const size_t n = dag.num_nodes();
   // Work in reverse-topological positions: descendants sit lower, so the
   // targets from `start` on are reached only from positions >= start.
@@ -69,7 +69,7 @@ CsrGraph ReduceDag(const Graph& dag, size_t block_cols) {
   return tr;
 }
 
-Graph TransitiveReductionDag(const Graph& dag, size_t block_cols) {
+Graph TransitiveReductionDag(const CsrGraph& dag, size_t block_cols) {
   const CsrGraph tr = ReduceDag(dag, block_cols);
   GraphBuilder builder(dag.num_nodes());
   for (NodeId u = 0; u < dag.num_nodes(); ++u) {

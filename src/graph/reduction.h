@@ -29,11 +29,11 @@ inline constexpr size_t kReduceBlockCols = 2048;
 /// The unique TR of `dag` as a frozen graph: OutNeighbors(u) are u's TR
 /// children and InNeighbors(u) its TR parents. Self-loops are never TR
 /// edges; any other cycle aborts. Labels are copied.
-CsrGraph ReduceDag(const Graph& dag, size_t block_cols = kReduceBlockCols);
+CsrGraph ReduceDag(const CsrGraph& dag, size_t block_cols = kReduceBlockCols);
 
 /// ReduceDag as a dynamic Graph that keeps `dag`'s self-loops: on compressed
 /// class graphs they encode non-empty self-reachability of cyclic classes.
-Graph TransitiveReductionDag(const Graph& dag,
+Graph TransitiveReductionDag(const CsrGraph& dag,
                              size_t block_cols = kReduceBlockCols);
 
 }  // namespace qpgc

@@ -68,7 +68,7 @@ IncPcmStats IncPCM(const Graph& g_after, const UpdateBatch& effective,
     while (!stack.empty()) {
       const NodeId b = stack.back();
       stack.pop_back();
-      for (NodeId p : pc.gr.InNeighbors(b)) {
+      for (NodeId p : pc.gr->InNeighbors(b)) {
         if (!dissolved[p]) {
           dissolved[p] = 1;
           stack.push_back(p);
@@ -98,13 +98,14 @@ IncPcmStats IncPCM(const Graph& g_after, const UpdateBatch& effective,
   }
   stats.dissolved_nodes = member_of_h.size();
 
-  GraphBuilder hb(nh + member_of_h.size());
+  std::vector<Label> h_labels(nh + member_of_h.size());
   for (NodeId b = 0; b < nb; ++b) {
-    if (!dissolved[b]) hb.SetLabel(block_h[b], pc.gr.label(b));
+    if (!dissolved[b]) h_labels[block_h[b]] = pc.gr->label(b);
   }
-  for (NodeId v : member_of_h) hb.SetLabel(node_h[v], g_after.label(v));
+  for (NodeId v : member_of_h) h_labels[node_h[v]] = g_after.label(v);
+  CsrBuilder hb(std::move(h_labels));
 
-  pc.gr.ForEachEdge([&](NodeId b, NodeId d) {
+  pc.gr->ForEachEdge([&](NodeId b, NodeId d) {
     if (dissolved[b]) return;  // dissolved blocks contribute member edges
     // The cone is predecessor-closed: a frozen block cannot point into it.
     QPGC_CHECK(!dissolved[d]);
@@ -116,7 +117,7 @@ IncPcmStats IncPCM(const Graph& g_after, const UpdateBatch& effective,
       hb.AddEdge(node_h[v], dissolved[bw] ? node_h[w] : block_h[bw]);
     }
   }
-  const Graph h = hb.Build();
+  const CsrGraph h = hb.Build();
   stats.hybrid_vertices = h.num_nodes();
   stats.hybrid_edges = h.num_edges();
 
@@ -129,14 +130,15 @@ IncPcmStats IncPCM(const Graph& g_after, const UpdateBatch& effective,
   next.node_map.assign(pc.original_num_nodes, kInvalidNode);
   next.members.assign(part.num_blocks, {});
 
-  GraphBuilder grb(part.num_blocks);
+  std::vector<Label> gr_labels(part.num_blocks);
   for (NodeId hv = 0; hv < h.num_nodes(); ++hv) {
-    grb.SetLabel(part.block_of[hv], h.label(hv));
+    gr_labels[part.block_of[hv]] = h.label(hv);
   }
+  CsrBuilder grb(std::move(gr_labels));
   h.ForEachEdge([&](NodeId x, NodeId y) {
     grb.AddEdge(part.block_of[x], part.block_of[y]);
   });
-  next.gr = grb.Build();
+  next.gr = std::make_shared<const CsrGraph>(grb.Build());
 
 #ifndef NDEBUG
   // Two frozen supers can never be bisimilar (their unfoldings were distinct

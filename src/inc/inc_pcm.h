@@ -26,6 +26,14 @@
 //     frozen supers never merge with each other (their unfoldings were
 //     distinct and are untouched), while dissolved members may join a
 //     frozen super's class. Translating member sets gives R(G ⊕ ΔG).
+//
+// Cost: the predecessor cone of step 2 is most of G on the served graphs
+// (ROADMAP.md, item 2), so a call costs about a recompression: building H,
+// refining it, building the new Gr, and an O(|V|) translation. H and Gr
+// are built straight into CSR by a counting sort (graph/builder.h's
+// CsrBuilder), with no global pair sort; Paige–Tarjan borrows H's flat
+// in-edge array (graph/graph_view.h's DenseInEdgeView) instead of copying
+// it, and the new Gr is published by pointer (serve/snapshot.h).
 
 #ifndef QPGC_INC_INC_PCM_H_
 #define QPGC_INC_INC_PCM_H_

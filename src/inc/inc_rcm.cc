@@ -136,12 +136,14 @@ IncRcmStats IncRCM(const Graph& g_after, const UpdateBatch& effective,
       std::any_of(kept.begin(), kept.end(),
                   [](const EdgeUpdate& e) { return !e.is_insert; });
   if (has_deletions) {
-    Graph union_q = rc.quotient;
+    CsrBuilder union_builder(nc);
+    rc.quotient.ForEachEdge(
+        [&](NodeId c, NodeId d) { union_builder.AddEdge(c, d); });
     std::vector<NodeId> del_sources, del_targets;
     std::vector<uint8_t> internal_deletion(nc, 0);
     for (const EdgeUpdate& up : kept) {
       if (up.is_insert) {
-        union_q.AddEdge(rc.node_map[up.u], rc.node_map[up.v]);
+        union_builder.AddEdge(rc.node_map[up.u], rc.node_map[up.v]);
       } else {
         const NodeId cu = rc.node_map[up.u];
         const NodeId cv = rc.node_map[up.v];
@@ -150,6 +152,7 @@ IncRcmStats IncRCM(const Graph& g_after, const UpdateBatch& effective,
         if (cu == cv) internal_deletion[cu] = 1;
       }
     }
+    const CsrGraph union_q = union_builder.Build();
     // One multi-source sweep per direction covers all deletions at once.
     const Bitset ancestors = BoundedMultiSourceReach(
         union_q, del_sources, kUnboundedDepth, Direction::kBackward);
@@ -207,7 +210,7 @@ IncRcmStats IncRCM(const Graph& g_after, const UpdateBatch& effective,
   }
   stats.dissolved_nodes = member_of_h.size();
 
-  GraphBuilder hb(nh + member_of_h.size());
+  CsrBuilder hb(nh + member_of_h.size());
   const auto target_vertex = [&](NodeId w) {
     return node_dissolved[w] ? node_h[w] : class_h[rc.node_map[w]];
   };
@@ -233,11 +236,11 @@ IncRcmStats IncRCM(const Graph& g_after, const UpdateBatch& effective,
       if (!node_dissolved[a]) hb.AddEdge(class_h[rc.node_map[a]], hv);
     }
   }
-  const Graph h = hb.Build();
+  const CsrGraph h = hb.Build();
   stats.hybrid_vertices = h.num_nodes();
   stats.hybrid_edges = h.num_edges();
 
-  // Step 4: recompress the hybrid graph and translate back.
+  // Step 4: recompress the hybrid graph (already frozen) and translate back.
   ReachCompression sub = CompressR(h);
 
   ReachCompression next;
@@ -247,7 +250,7 @@ IncRcmStats IncRCM(const Graph& g_after, const UpdateBatch& effective,
   next.ranks = std::move(sub.ranks);
   next.original_num_nodes = rc.original_num_nodes;
   next.original_size = g_after.size();
-  next.members.assign(next.gr.num_nodes(), {});
+  next.members.assign(next.gr->num_nodes(), {});
   next.node_map.assign(n, kInvalidNode);
   for (NodeId hv = 0; hv < h.num_nodes(); ++hv) {
     if (hv < nh) continue;  // rest-supernodes are spliced below

@@ -11,12 +11,16 @@
 // Algorithm (hybrid-graph formulation of the paper's Split/Merge scheme;
 // DESIGN.md §3 records the supporting facts):
 //
-//  1. *Reduce ΔG.* No-op updates were already removed by ApplyBatch. For
-//     insertion-only batches, an insertion (u, u') with [u] already reaching
-//     [u'] in Gr (non-empty closure, self-loops included) changes no
-//     reachability and is dropped — the paper's redundancy rule. (The
-//     paper's deletion rules need member-level adjacency beyond Gr, so we
-//     apply only provably sound reductions.)
+//  1. *Reduce ΔG.* No-op updates were already removed by ApplyBatch. Every
+//     remaining update, insertion or deletion, is tested by a BFS on the
+//     post-update graph capped at a node budget: 256 nodes for an
+//     insertion, 1024 for a deletion. An insertion (u, u') is dropped when
+//     u reaches u' without it and without any batch insertion not yet
+//     kept (a dropped insertion may never justify dropping another); a
+//     deletion (u, u') is dropped when u still reaches u' after the batch.
+//     Either way the update changes no reachability. A test that runs out
+//     of budget keeps its update, so the reduction is exact when it fires
+//     and merely conservative otherwise.
 //  2. *Affected classes.* Insertions can split only the endpoint classes
 //     (for any other class, members with equal closures keep equal closures
 //     — the "gateway" argument). Deletions can split ancestors of [u] and
@@ -40,8 +44,13 @@
 // Besides the final dense re-map of node ids into the artifact (O(|V|)),
 // the cost is that of building and recompressing H: bounded by |Gr| and
 // the dissolved cone, not by |AFF|, and on the served graphs close to a
-// recompression of G. A serving side whose quotient merges (almost)
-// nothing skips it altogether (serve/snapshot_manager.h).
+// recompression of G. Every graph here — the union graph of step 2, H,
+// and the new quotient and Gr — is built straight into CSR by a counting
+// sort (graph/builder.h's CsrBuilder): linear in its edges plus per-node
+// run sorts, with no global pair sort. H goes to compressR already
+// frozen, and the new Gr is published by pointer (serve/snapshot.h), so
+// no graph is built twice. A serving side whose quotient merges (almost)
+// nothing skips all of it (serve/snapshot_manager.h).
 
 #ifndef QPGC_INC_INC_RCM_H_
 #define QPGC_INC_INC_RCM_H_
@@ -57,7 +66,7 @@ namespace qpgc {
 struct IncRcmStats {
   /// Updates surviving redundancy reduction.
   size_t kept_updates = 0;
-  /// Updates dropped by the Gr-closure redundancy rule.
+  /// Updates dropped by step 1's budgeted redundancy test.
   size_t reduced_updates = 0;
   /// Classes dissolved into members (the affected area's class side).
   size_t dissolved_classes = 0;

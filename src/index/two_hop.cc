@@ -29,10 +29,9 @@ bool Intersect(const std::vector<NodeId>& a, const std::vector<NodeId>& b) {
 
 }  // namespace
 
-TwoHopIndex TwoHopIndex::Build(const Graph& g) {
+TwoHopIndex TwoHopIndex::FromCondensation(const Condensation& cond) {
   TwoHopIndex idx;
-  const Condensation cond = BuildCondensation(g);
-  const Graph& dag = cond.dag;
+  const CsrGraph& dag = cond.dag;
   const size_t nc = cond.scc.num_components;
 
   idx.comp_ = cond.scc.component;

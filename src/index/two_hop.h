@@ -21,7 +21,8 @@
 #include <cstddef>
 #include <vector>
 
-#include "graph/graph.h"
+#include "graph/condensation.h"
+#include "graph/graph_view.h"
 #include "graph/traversal.h"
 
 namespace qpgc {
@@ -29,8 +30,11 @@ namespace qpgc {
 /// A 2-hop reachability index over a fixed graph.
 class TwoHopIndex {
  public:
-  /// Builds the index for g.
-  static TwoHopIndex Build(const Graph& g);
+  /// Builds the index for g (a graph, or a compressed graph Gr).
+  template <GraphView G>
+  static TwoHopIndex Build(const G& g) {
+    return FromCondensation(BuildCondensation(g));
+  }
 
   /// Answers QR(u, v) from labels only (no graph traversal).
   bool Reaches(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive) const;
@@ -43,6 +47,8 @@ class TwoHopIndex {
 
  private:
   TwoHopIndex() = default;
+
+  static TwoHopIndex FromCondensation(const Condensation& cond);
 
   // Label query on condensation nodes: cu reaches cw via some shared
   // landmark (reflexive over DAG nodes).

@@ -10,7 +10,7 @@ namespace qpgc {
 
 Graph AhoTransitiveReduction(const Graph& g) {
   const Condensation cond = BuildCondensation(g);
-  const Graph reduced_dag = TransitiveReductionDag(cond.dag);
+  const CsrGraph reduced_dag = ReduceDag(cond.dag);
 
   GraphBuilder builder(g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) builder.SetLabel(u, g.label(u));

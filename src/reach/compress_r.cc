@@ -15,7 +15,7 @@ ReachCompression CompressR(const Graph& g) {
 }
 
 size_t ReachCompression::MemoryBytes() const {
-  return gr.MemoryBytes() + quotient.MemoryBytes() + VectorBytes(node_map) +
+  return gr->MemoryBytes() + quotient.MemoryBytes() + VectorBytes(node_map) +
          NestedVectorBytes(members) + VectorBytes(cyclic) + VectorBytes(ranks);
 }
 

@@ -15,13 +15,17 @@
 // The pipeline is a GraphView template; the `const Graph&` entry point
 // freezes a CsrGraph snapshot once and runs the whole pipeline on the flat
 // layout (the batch sweeps are read-only; the incremental layer keeps the
-// dynamic Graph as the source of truth).
+// dynamic Graph as the source of truth). Every graph it derives — the
+// condensation, the quotient and Gr — is built straight into CSR
+// (graph/builder.h's CsrBuilder), and Gr is held behind a shared pointer
+// so that serving snapshots publish it without a copy (serve/snapshot.h).
 
 #ifndef QPGC_REACH_COMPRESS_R_H_
 #define QPGC_REACH_COMPRESS_R_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/builder.h"
@@ -39,8 +43,11 @@ namespace qpgc {
 struct ReachCompression {
   /// The compressed graph Gr. Nodes are equivalence classes; cyclic classes
   /// carry a self-loop. All labels are a fixed sigma (kNoLabel) — labels are
-  /// irrelevant to reachability (paper, Section 3.1).
-  Graph gr;
+  /// irrelevant to reachability (paper, Section 3.1). Immutable and shared:
+  /// a published serving snapshot holds the same object (serve/snapshot.h),
+  /// and maintenance replaces the pointer instead of editing the graph.
+  /// Non-null in every artifact compressR and incRCM produce.
+  std::shared_ptr<const CsrGraph> gr;
   /// The unreduced quotient (same nodes as gr, all class-level edges before
   /// transitive reduction). Queries never need it; incRCM does: frozen
   /// classes contribute these edge-faithful edges to the hybrid graph, so
@@ -48,7 +55,7 @@ struct ReachCompression {
   /// link. May accumulate closure-preserving phantom edges across
   /// incremental updates; the reduced gr stays exact regardless (the
   /// reduction is a function of the closure, which is maintained exactly).
-  Graph quotient;
+  CsrGraph quotient;
   /// node_map[v] = R(v), the Gr-node of original node v.
   std::vector<NodeId> node_map;
   /// members[c] = original nodes represented by Gr-node c.
@@ -63,7 +70,7 @@ struct ReachCompression {
   size_t original_size = 0;
 
   /// |Gr| = |Vr| + |Er| (the paper's size measure).
-  size_t size() const { return gr.size(); }
+  size_t size() const { return gr->size(); }
   /// Compression ratio RCr = |Gr| / |G|.
   double CompressionRatio() const {
     return original_size == 0
@@ -100,8 +107,8 @@ ReachCompression CompressR(const G& g) {
   for (NodeId a = 0; a < dag_class.size(); ++a) {
     dag_class[a] = rc.node_map[cond.scc.members[a][0]];
   }
-  GraphBuilder quotient_builder(nc);
-  GraphBuilder gr_builder(nc);
+  CsrBuilder quotient_builder(nc);
+  CsrBuilder gr_builder(nc);
   for (NodeId c = 0; c < nc; ++c) {
     if (!rc.cyclic[c]) continue;
     quotient_builder.AddEdge(c, c);
@@ -110,12 +117,12 @@ ReachCompression CompressR(const G& g) {
   cond.dag.ForEachEdge([&](NodeId a, NodeId b) {
     quotient_builder.AddEdge(dag_class[a], dag_class[b]);
   });
-  ForEachEdge(tr, [&](NodeId a, NodeId b) {
+  tr.ForEachEdge([&](NodeId a, NodeId b) {
     gr_builder.AddEdge(dag_class[a], dag_class[b]);
   });
   rc.quotient = quotient_builder.Build();
-  rc.gr = gr_builder.Build();
-  rc.ranks = DagTopoRanks(rc.gr);
+  rc.gr = std::make_shared<const CsrGraph>(gr_builder.Build());
+  rc.ranks = DagTopoRanks(*rc.gr);
   return rc;
 }
 

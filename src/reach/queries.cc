@@ -24,7 +24,7 @@ bool AnswerOnCompressed(const ReachCompression& rc, const ReachQuery& q,
   // All remaining cases reduce to non-empty reachability on Gr: distinct
   // classes are connected iff any (equivalently every) pair of their members
   // is; equal classes answer the diagonal through their self-loop.
-  return EvalReach(rc.gr, rq.u, rq.v, PathMode::kNonEmpty, algo);
+  return EvalReach(*rc.gr, rq.u, rq.v, PathMode::kNonEmpty, algo);
 }
 
 std::vector<ReachQuery> RandomReachQueries(size_t n, size_t count,

@@ -12,7 +12,7 @@
 namespace qpgc {
 
 void FrozenReachSide::Fill(const ReachCompression& rc) {
-  gr = std::make_shared<const CsrGraph>(rc.gr);
+  gr = rc.gr;
   node_map = rc.node_map;
   representation = SideRepresentation::kQuotient;
 }
@@ -45,7 +45,7 @@ void FrozenPatternSide::Fill(const PatternCompression& pc) {
   perm.assign(num_blocks, kInvalidNode);
   NodeId owned_blocks = 0;
   for (size_t b = 0; b < num_blocks; ++b) {
-    const Label label = pc.gr.label(static_cast<NodeId>(b));
+    const Label label = pc.gr->label(static_cast<NodeId>(b));
     if (!IsGhostLabel(label)) {
       perm[b] = owned_blocks++;
     } else {
@@ -61,9 +61,9 @@ void FrozenPatternSide::Fill(const PatternCompression& pc) {
 
   if (owned_blocks == num_blocks) {
     // No ghost blocks (every unsharded manager, and a K = 1 sharded one):
-    // the permutation is the identity, so skip the per-edge remap in favor
-    // of the bulk-copy freeze and plain map/member copies.
-    gr = std::make_shared<const CsrGraph>(pc.gr);
+    // the permutation is the identity, so the maintained quotient is shared
+    // as is, and only the map and member index are copied.
+    gr = pc.gr;
     node_map = pc.node_map;
     member_offsets.assign(num_blocks + 1, 0);
     for (size_t c = 0; c < num_blocks; ++c) {
@@ -85,7 +85,7 @@ void FrozenPatternSide::Fill(const PatternCompression& pc) {
   // rewritten to the ghost's node id — its block's sole member.
   cross_edges.clear();
   auto frozen = std::make_shared<CsrGraph>();
-  frozen->RefreezeMapped(pc.gr, perm, owned_blocks, &cross_edges);
+  frozen->RefreezeMapped(*pc.gr, perm, owned_blocks, &cross_edges);
   gr = std::move(frozen);
   representation = SideRepresentation::kQuotient;
   for (auto& [block, target] : cross_edges) {

@@ -79,15 +79,16 @@ enum class SideRepresentation {
 };
 
 /// The frozen reachability artifact: CSR quotient Gr plus the node map
-/// R(v). The graph is held by pointer so that an identity side can share
-/// the one freeze of G with the pattern side.
+/// R(v). The graph is held by pointer: a quotient side shares the
+/// maintained artifact's Gr, and an identity side shares the one freeze of
+/// G with the pattern side.
 struct FrozenReachSide {
   std::shared_ptr<const CsrGraph> gr;
   std::vector<NodeId> node_map;
   SideRepresentation representation = SideRepresentation::kQuotient;
 
   /// Writer-side fill from the maintained artifact, replacing whatever the
-  /// side held before.
+  /// side held before: shares rc.gr by pointer and copies the node map.
   void Fill(const ReachCompression& rc);
   /// Writer-side fill as G itself: `g` is a freeze of G, shared, and the
   /// node map is the identity.
@@ -112,7 +113,9 @@ struct FrozenReachSide {
 ///    as (compact owned block, ghost node id) pairs; the router's stitched
 ///    quotient resolves them to the ghost's home-shard block.
 /// Dropping the ghosts is what keeps per-shard freeze cost proportional to
-/// the shard's own compressed size instead of the global node count.
+/// the shard's own compressed size instead of the global node count. With
+/// no ghosts (unsharded serving) `gr` is the maintained artifact's Gr,
+/// shared by pointer.
 /// Precondition (checked loudly in Fill): every label in the ghost range
 /// must be a genuine per-node ghost label — i.e. served graphs carry real
 /// labels below kGhostLabelBase (graph/shard_view.h's LabelsShardable).

@@ -464,14 +464,11 @@ Status ReconstructReach(const Graph& g, const ServingSnapshot& snap,
       return Status::InvalidArgument("empty reach class in snapshot");
     }
   }
-  {
-    GraphBuilder builder(nc);
-    reach_gr.ForEachEdge([&](NodeId u, NodeId v) { builder.AddEdge(u, v); });
-    rc.gr = builder.Build();
-  }
+  // The loaded side's CSR is immutable: the artifact shares it.
+  rc.gr = snap.reach_side()->gr;
   rc.cyclic.assign(nc, 0);
   for (NodeId c = 0; c < nc; ++c) {
-    rc.cyclic[c] = rc.gr.HasEdge(c, c) ? 1 : 0;
+    rc.cyclic[c] = reach_gr.HasEdge(c, c) ? 1 : 0;
   }
   // The frozen side carries only the *reduced* quotient; IncRCM additionally
   // needs the edge-faithful unreduced quotient (reach/compress_r.h — frozen
@@ -479,7 +476,7 @@ Status ReconstructReach(const Graph& g, const ServingSnapshot& snap,
   // reduction may have dropped). Rebuild it from the original graph, exactly
   // mirroring CompressR's construction.
   {
-    GraphBuilder builder(nc);
+    CsrBuilder builder(nc);
     for (NodeId c = 0; c < nc; ++c) {
       if (rc.cyclic[c]) builder.AddEdge(c, c);
     }
@@ -502,14 +499,13 @@ Status ReconstructReach(const Graph& g, const ServingSnapshot& snap,
   }
   // A valid quotient is a DAG but for its self-loops: DagTopoRanks would
   // abort on any longer cycle.
-  if (!TryTopologicalOrder(rc.gr).has_value()) {
+  if (!TryTopologicalOrder(reach_gr).has_value()) {
     return Status::InvalidArgument(
         "reach side is neither a quotient nor the identity image of this "
         "graph (its quotient has a cycle)");
   }
-  rc.ranks = DagTopoRanks(rc.gr);
+  rc.ranks = DagTopoRanks(reach_gr);
   return Status::Ok();
-
 }
 
 Status ReconstructPattern(const Graph& g, const ServingSnapshot& snap,
@@ -547,14 +543,7 @@ Status ReconstructPattern(const Graph& g, const ServingSnapshot& snap,
     }
     pc.members[c].assign(members.begin(), members.end());
   }
-  {
-    GraphBuilder builder(np);
-    for (NodeId c = 0; c < np; ++c) {
-      builder.SetLabel(c, pattern_gr.label(c));
-    }
-    pattern_gr.ForEachEdge([&](NodeId u, NodeId v) { builder.AddEdge(u, v); });
-    pc.gr = builder.Build();
-  }
+  pc.gr = snap.pattern_side()->gr;
   return Status::Ok();
 }
 

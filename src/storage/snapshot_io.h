@@ -148,7 +148,8 @@ struct ReconstructedArtifacts {
 };
 
 /// Rebuilds {ReachCompression, PatternCompression} from a loaded unsharded
-/// snapshot plus the original graph it was compressed from. The frozen
+/// snapshot plus the original graph it was compressed from. Both artifacts
+/// share their Gr with `snap`'s sides by pointer. The frozen
 /// sides carry the *reduced* reach quotient; the edge-faithful unreduced
 /// quotient that IncRCM requires is rebuilt from `g` in O(|V| + |E|)
 /// (mirroring CompressR's construction), so post-adoption incremental

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <utility>
+#include <vector>
 
+#include "gen/uniform.h"
 #include "graph/builder.h"
+#include "graph/csr.h"
 #include "graph/io.h"
+#include "util/rng.h"
 
 namespace qpgc {
 namespace {
@@ -36,6 +42,110 @@ TEST(BuilderTest, LabelsSurviveBuild) {
   const Graph g = b.Build();
   EXPECT_EQ(g.label(u), 10u);
   EXPECT_EQ(g.label(v), 20u);
+}
+
+// An edge stream over g's edges in shuffled order, with every third edge
+// queued twice and a self-loop on every fifth node.
+std::vector<std::pair<NodeId, NodeId>> MessyStream(const Graph& g,
+                                                   uint64_t seed) {
+  std::vector<std::pair<NodeId, NodeId>> edges = g.EdgeList();
+  for (size_t i = 0; i < g.num_edges(); i += 3) edges.push_back(edges[i]);
+  for (NodeId v = 0; v < g.num_nodes(); v += 5) {
+    edges.emplace_back(v, v);
+    edges.emplace_back(v, v);
+  }
+  Rng rng(seed);
+  rng.Shuffle(edges);
+  return edges;
+}
+
+CsrGraph BuildCsr(const std::vector<Label>& labels,
+                  const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  CsrBuilder b(labels);
+  for (const auto& [u, v] : edges) b.AddEdge(u, v);
+  return b.Build();
+}
+
+// The same stream through GraphBuilder, then frozen: the reference.
+CsrGraph FreezeViaGraph(const std::vector<Label>& labels,
+                        const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  GraphBuilder b(labels.size());
+  for (NodeId v = 0; v < labels.size(); ++v) b.SetLabel(v, labels[v]);
+  for (const auto& [u, v] : edges) b.AddEdge(u, v);
+  return CsrGraph(b.Build());
+}
+
+TEST(CsrBuilderTest, SortsDeduplicatesAndKeepsSelfLoops) {
+  CsrBuilder b(std::vector<Label>{7, 8, 9, 7});
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {2, 0}, {0, 3}, {0, 1}, {2, 2}, {0, 3}, {3, 0}, {0, 1}, {2, 2},
+           {2, 1}, {0, 0}}) {
+    b.AddEdge(u, v);
+  }
+  const CsrGraph g = b.Build();
+  EXPECT_EQ(g.num_nodes(), 4u);
+  EXPECT_EQ(g.num_edges(), 7u);
+  using Run = std::vector<NodeId>;
+  EXPECT_TRUE(std::ranges::equal(g.OutNeighbors(0), Run{0, 1, 3}));
+  EXPECT_TRUE(g.OutNeighbors(1).empty());
+  EXPECT_TRUE(std::ranges::equal(g.OutNeighbors(2), Run{0, 1, 2}));
+  EXPECT_TRUE(std::ranges::equal(g.OutNeighbors(3), Run{0}));
+  EXPECT_EQ(g.labels(), (std::vector<Label>{7, 8, 9, 7}));
+
+  const Graph random = GenerateUniform(300, 1500, 4, 21);
+  const auto stream = MessyStream(random, 22);
+  EXPECT_TRUE(BuildCsr(random.labels(), stream) ==
+              FreezeViaGraph(random.labels(), stream));
+}
+
+TEST(CsrBuilderTest, IsolatedNodesAndEmptyGraph) {
+  CsrBuilder b(6);
+  b.AddEdge(4, 1);
+  b.AddEdge(1, 4);
+  const CsrGraph g = b.Build();
+  EXPECT_EQ(g.num_nodes(), 6u);
+  EXPECT_EQ(g.num_edges(), 2u);
+  for (const NodeId v : {0u, 2u, 3u, 5u}) {
+    EXPECT_EQ(g.OutDegree(v), 0u);
+    EXPECT_EQ(g.InDegree(v), 0u);
+    EXPECT_EQ(g.label(v), kNoLabel);
+  }
+  EXPECT_TRUE(g.HasEdge(4, 1) && g.HasEdge(1, 4));
+
+  const CsrGraph empty = CsrBuilder(0).Build();
+  EXPECT_EQ(empty.num_nodes(), 0u);
+  EXPECT_EQ(empty.num_edges(), 0u);
+  EXPECT_TRUE(empty == CsrGraph(Graph(0)));
+  EXPECT_EQ(empty.MemoryBytes(), CsrGraph(Graph(0)).MemoryBytes());
+}
+
+TEST(CsrBuilderTest, InDirectionIsTheExactTranspose) {
+  const Graph random = GenerateUniform(400, 2400, 3, 31);
+  const auto stream = MessyStream(random, 32);
+  const CsrGraph built = BuildCsr(random.labels(), stream);
+  size_t in_edges = 0;
+  for (NodeId v = 0; v < built.num_nodes(); ++v) {
+    const auto in = built.InNeighbors(v);
+    EXPECT_TRUE(std::ranges::is_sorted(in));
+    EXPECT_EQ(std::ranges::adjacent_find(in), in.end());
+    for (const NodeId u : in) EXPECT_TRUE(built.HasEdge(u, v));
+    in_edges += in.size();
+  }
+  EXPECT_EQ(in_edges, built.num_edges());
+  const CsrGraph reference = FreezeViaGraph(random.labels(), stream);
+  EXPECT_TRUE(std::ranges::equal(built.in_offsets(), reference.in_offsets()));
+  EXPECT_TRUE(std::ranges::equal(built.in_targets(), reference.in_targets()));
+}
+
+TEST(CsrBuilderTest, MemoryBytesEqualsAFreezeOfTheSameEdges) {
+  for (const size_t n : {20, 250, 600}) {
+    const Graph random = GenerateUniform(n, 4 * n, 5, n);
+    const auto stream = MessyStream(random, n);
+    const CsrGraph built = BuildCsr(random.labels(), stream);
+    const CsrGraph frozen = FreezeViaGraph(random.labels(), stream);
+    EXPECT_TRUE(built == frozen) << "n " << n;
+    EXPECT_EQ(built.MemoryBytes(), frozen.MemoryBytes()) << "n " << n;
+  }
 }
 
 TEST(IoTest, ParseEdgeListWithComments) {

@@ -66,7 +66,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CsrBfsAgreement,
 TEST(CsrTest, ServesCompressedQueries) {
   const Graph g = PreferentialAttachment(150, 3, 0.5, 11);
   const ReachCompression rc = CompressR(g);
-  const CsrGraph frozen(rc.gr);
+  const CsrGraph& frozen = *rc.gr;
   for (NodeId u = 0; u < g.num_nodes(); u += 11) {
     for (NodeId v = 0; v < g.num_nodes(); v += 13) {
       const bool truth = BfsReaches(g, u, v, PathMode::kReflexive);

@@ -111,7 +111,7 @@ TEST_P(FuzzDifferential, EverySubsystemAgreesAcrossEvolution) {
         << "seed=" << seed << " step=" << step;
 
     // Query answers through every path.
-    const TwoHopIndex two_hop = TwoHopIndex::Build(rc.gr);
+    const TwoHopIndex two_hop = TwoHopIndex::Build(*rc.gr);
     const auto queries =
         RandomReachQueries(g.num_nodes(), 40, seed * 977 + step);
     for (const auto& query : queries) {

@@ -16,12 +16,12 @@ TEST(CompressBTest, QuotientKeepsLabels) {
   g.AddEdge(0, 1);
   g.AddEdge(0, 2);
   const PatternCompression pc = CompressB(g);
-  EXPECT_EQ(pc.gr.num_nodes(), 2u);
+  EXPECT_EQ(pc.gr->num_nodes(), 2u);
   const NodeId root_block = pc.node_map[0];
   const NodeId leaf_block = pc.node_map[1];
-  EXPECT_EQ(pc.gr.label(root_block), 1u);
-  EXPECT_EQ(pc.gr.label(leaf_block), 2u);
-  EXPECT_TRUE(pc.gr.HasEdge(root_block, leaf_block));
+  EXPECT_EQ(pc.gr->label(root_block), 1u);
+  EXPECT_EQ(pc.gr->label(leaf_block), 2u);
+  EXPECT_TRUE(pc.gr->HasEdge(root_block, leaf_block));
 }
 
 TEST(CompressBTest, SizeNeverGrows) {
@@ -37,11 +37,11 @@ TEST(CompressBTest, MembersAndNodeMapConsistent) {
   const Graph g = GenerateUniform(120, 400, 3, 7);
   const PatternCompression pc = CompressB(g);
   size_t total = 0;
-  for (NodeId c = 0; c < pc.gr.num_nodes(); ++c) {
+  for (NodeId c = 0; c < pc.gr->num_nodes(); ++c) {
     total += pc.members[c].size();
     for (NodeId v : pc.members[c]) {
       EXPECT_EQ(pc.node_map[v], c);
-      EXPECT_EQ(g.label(v), pc.gr.label(c));  // label-uniform blocks
+      EXPECT_EQ(g.label(v), pc.gr->label(c));  // label-uniform blocks
     }
   }
   EXPECT_EQ(total, g.num_nodes());
@@ -52,8 +52,8 @@ TEST(CompressBTest, QuotientIsStable) {
   // of B — the stability property everything else relies on.
   const Graph g = GenerateUniform(100, 300, 3, 9);
   const PatternCompression pc = CompressB(g);
-  for (NodeId b = 0; b < pc.gr.num_nodes(); ++b) {
-    for (NodeId d : pc.gr.OutNeighbors(b)) {
+  for (NodeId b = 0; b < pc.gr->num_nodes(); ++b) {
+    for (NodeId d : pc.gr->OutNeighbors(b)) {
       for (NodeId v : pc.members[b]) {
         bool has_child_in_d = false;
         for (NodeId w : g.OutNeighbors(v)) {
@@ -78,8 +78,8 @@ TEST(CompressBTest, EveryEngineGivesSameCompression) {
   // Both partitions are normalized (blocks numbered by first member), so
   // equal partitions give equal node maps.
   EXPECT_EQ(a.node_map, c.node_map);
-  EXPECT_EQ(a.gr.num_nodes(), c.gr.num_nodes());
-  EXPECT_EQ(a.gr.num_edges(), c.gr.num_edges());
+  EXPECT_EQ(a.gr->num_nodes(), c.gr->num_nodes());
+  EXPECT_EQ(a.gr->num_edges(), c.gr->num_edges());
 }
 
 TEST(ExpandMatchTest, ReplacesBlocksByMembers) {
@@ -91,7 +91,7 @@ TEST(ExpandMatchTest, ReplacesBlocksByMembers) {
   const uint32_t a = q.AddNode(1);
   const uint32_t b = q.AddNode(2);
   q.AddEdge(a, b, 1);
-  const MatchResult on_gr = Match(pc.gr, q);
+  const MatchResult on_gr = Match(*pc.gr, q);
   const MatchResult expanded = ExpandMatch(pc, on_gr);
   ASSERT_TRUE(expanded.matched);
   EXPECT_EQ(expanded.match_sets[a], (std::vector<NodeId>{0}));

@@ -93,7 +93,7 @@ TEST(IncrementalProperty, DrainToEmpty) {
   }
   ExpectEquivalentReachCompression(rc, CompressR(g));
   ExpectEquivalentPatternCompression(pc, CompressB(g));
-  EXPECT_EQ(rc.gr.num_nodes(), 1u);  // every node equivalent
+  EXPECT_EQ(rc.gr->num_nodes(), 1u);  // every node equivalent
 }
 
 // Insert-then-delete returning to the original graph must return to the

@@ -97,7 +97,7 @@ TEST(PatternPreservationProperty, ExpansionIsExactUnion) {
   PatternQuery q;
   const uint32_t a = q.AddNode(g.label(0));
   (void)a;
-  const MatchResult on_gr = Match(pc.gr, q);
+  const MatchResult on_gr = Match(*pc.gr, q);
   const MatchResult expanded = ExpandMatch(pc, on_gr);
   size_t expected = 0;
   for (NodeId blk : on_gr.match_sets[0]) expected += pc.members[blk].size();
@@ -114,7 +114,7 @@ TEST(PatternPreservationProperty, BlockDistancesPreserved) {
     Graph g = PreferentialAttachment(70, 3, 0.4, seed);
     AssignZipfLabels(g, 3, 0.8, seed);
     const PatternCompression pc = CompressB(g);
-    const size_t nb = pc.gr.num_nodes();
+    const size_t nb = pc.gr->num_nodes();
 
     // Node-level: shortest non-empty path from v to any member of block b.
     const auto node_dist_to_block = [&](NodeId v, NodeId b) -> uint32_t {
@@ -148,14 +148,14 @@ TEST(PatternPreservationProperty, BlockDistancesPreserved) {
       const auto gr_dist = [&](NodeId b) -> uint32_t {
         std::vector<uint32_t> dist(nb, kUnreachedDist);
         std::vector<NodeId> queue;
-        for (NodeId w : pc.gr.OutNeighbors(a)) {
+        for (NodeId w : pc.gr->OutNeighbors(a)) {
           if (dist[w] == kUnreachedDist) {
             dist[w] = 1;
             queue.push_back(w);
           }
         }
         for (size_t i = 0; i < queue.size(); ++i) {
-          for (NodeId w : pc.gr.OutNeighbors(queue[i])) {
+          for (NodeId w : pc.gr->OutNeighbors(queue[i])) {
             if (dist[w] == kUnreachedDist) {
               dist[w] = dist[queue[i]] + 1;
               queue.push_back(w);

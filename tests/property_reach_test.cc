@@ -93,7 +93,7 @@ TEST(ReachPreservationProperty, CyclicClassesAreSccs) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     const Graph g = GenerateUniform(120, 500, 1, seed);
     const ReachCompression rc = CompressR(g);
-    for (NodeId c = 0; c < rc.gr.num_nodes(); ++c) {
+    for (NodeId c = 0; c < rc.gr->num_nodes(); ++c) {
       if (!rc.cyclic[c]) continue;
       // All members mutually reachable.
       const NodeId rep = rc.members[c][0];

@@ -129,7 +129,7 @@ TEST(ReachVsBisim, BisimQuotientOverApproximatesReachability) {
                 truth);
       const bool via_bisim =
           q.u == q.v ||
-          BfsReaches(pc.gr, pc.node_map[q.u], pc.node_map[q.v],
+          BfsReaches(*pc.gr, pc.node_map[q.u], pc.node_map[q.v],
                      PathMode::kReflexive);
       bisim_errors += (via_bisim != truth);
     }

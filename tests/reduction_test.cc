@@ -18,7 +18,7 @@ TEST(ReductionTest, RemovesTransitiveEdge) {
   dag.AddEdge(0, 1);
   dag.AddEdge(1, 2);
   dag.AddEdge(0, 2);  // redundant
-  const Graph r = TransitiveReductionDag(dag);
+  const Graph r = TransitiveReductionDag(CsrGraph(dag));
   EXPECT_EQ(r.num_edges(), 2u);
   EXPECT_TRUE(r.HasEdge(0, 1));
   EXPECT_TRUE(r.HasEdge(1, 2));
@@ -31,7 +31,7 @@ TEST(ReductionTest, DiamondKept) {
   dag.AddEdge(0, 2);
   dag.AddEdge(1, 3);
   dag.AddEdge(2, 3);
-  const Graph r = TransitiveReductionDag(dag);
+  const Graph r = TransitiveReductionDag(CsrGraph(dag));
   EXPECT_EQ(r.num_edges(), 4u);  // nothing redundant in a diamond
 }
 
@@ -39,7 +39,7 @@ TEST(ReductionTest, SelfLoopsPreserved) {
   Graph dag(2);
   dag.AddEdge(0, 0);
   dag.AddEdge(0, 1);
-  const Graph r = TransitiveReductionDag(dag);
+  const Graph r = TransitiveReductionDag(CsrGraph(dag));
   EXPECT_TRUE(r.HasEdge(0, 0));
   EXPECT_TRUE(r.HasEdge(0, 1));
 }
@@ -50,14 +50,14 @@ TEST(ReductionTest, SelfLoopNotAWitness) {
   Graph dag(2);
   dag.AddEdge(0, 0);
   dag.AddEdge(0, 1);
-  const Graph r = TransitiveReductionDag(dag);
+  const Graph r = TransitiveReductionDag(CsrGraph(dag));
   EXPECT_TRUE(r.HasEdge(0, 1));
 }
 
 TEST(ReductionTest, PreservesClosure) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     const Graph g = GenerateUniform(60, 220, 1, seed);
-    const Graph dag = BuildCondensation(g).dag;
+    const CsrGraph dag = BuildCondensation(g).dag;
     const Graph r = TransitiveReductionDag(dag, /*block_cols=*/13);
     const BitMatrix before = FullClosure(dag);
     const BitMatrix after = FullClosure(r);
@@ -72,7 +72,7 @@ TEST(ReductionTest, PreservesClosure) {
 TEST(ReductionTest, ReductionIsMinimal) {
   // Removing any further edge from the reduction must change the closure.
   const Graph g = GenerateUniform(30, 80, 1, 9);
-  const Graph dag = BuildCondensation(g).dag;
+  const CsrGraph dag = BuildCondensation(g).dag;
   Graph r = TransitiveReductionDag(dag);
   for (const auto& [u, v] : r.EdgeList()) {
     if (u == v) continue;
@@ -88,7 +88,7 @@ TEST(ReductionTest, BlockedSweepEqualsFullWidth) {
   // Every block width, down to one column, yields the full-width reduction,
   // and the frozen reduction's in-direction lists the TR parents.
   const Graph g = GenerateUniform(70, 200, 1, 8);
-  const Graph dag = BuildCondensation(g).dag;
+  const CsrGraph dag = BuildCondensation(g).dag;
   const CsrGraph reference = ReduceDag(dag, dag.num_nodes());
   for (const size_t block : {1, 7, 17, 64}) {
     const CsrGraph tr = ReduceDag(dag, block);
@@ -107,7 +107,8 @@ TEST(ReductionTest, BlockedSweepEqualsFullWidth) {
 TEST(ReductionTest, ReduceDagMatchesClosureDefinition) {
   // (u, v) is a TR edge iff it is an edge and no other child of u reaches v.
   for (uint64_t seed = 11; seed <= 14; ++seed) {
-    const Graph dag = BuildCondensation(GenerateUniform(50, 180, 1, seed)).dag;
+    const CsrGraph dag =
+        BuildCondensation(GenerateUniform(50, 180, 1, seed)).dag;
     const BitMatrix closure = FullClosure(dag);
     const CsrGraph tr = ReduceDag(dag, /*block_cols=*/9);
     for (NodeId u = 0; u < dag.num_nodes(); ++u) {
@@ -126,7 +127,7 @@ TEST(ReductionTest, ReduceDagMatchesClosureDefinition) {
 
 TEST(ReductionTest, EmptyGraph) {
   Graph dag(0);
-  const Graph r = TransitiveReductionDag(dag);
+  const Graph r = TransitiveReductionDag(CsrGraph(dag));
   EXPECT_EQ(r.num_nodes(), 0u);
 }
 

@@ -430,8 +430,8 @@ TEST(SnapshotManagerTest, ClosingALongPathIntoACycleSwitchesBothSidesBack) {
   mgr.WaitForRecheck();
   EXPECT_EQ(mgr.reach_representation(), SideRepresentation::kQuotient);
   EXPECT_EQ(mgr.pattern_representation(), SideRepresentation::kQuotient);
-  EXPECT_EQ(mgr.reach_artifact().gr.num_nodes(), 1u);
-  EXPECT_EQ(mgr.pattern_artifact().gr.num_nodes(), 1u);
+  EXPECT_EQ(mgr.reach_artifact().gr->num_nodes(), 1u);
+  EXPECT_EQ(mgr.pattern_artifact().gr->num_nodes(), 1u);
   const PublishStats back = mgr.Publish();
   EXPECT_TRUE(back.froze_reach);
   EXPECT_TRUE(back.froze_pattern);
@@ -477,13 +477,13 @@ void ExpectSameArtifacts(const SnapshotManager& mgr,
   const ReachCompression& reach = mgr.reach_artifact();
   EXPECT_EQ(reach.node_map, rc.node_map);
   EXPECT_EQ(reach.members, rc.members);
-  EXPECT_TRUE(reach.gr == rc.gr);
+  EXPECT_TRUE(*reach.gr == *rc.gr);
   EXPECT_TRUE(reach.quotient == rc.quotient);
   EXPECT_EQ(reach.cyclic, rc.cyclic);
   EXPECT_EQ(reach.ranks, rc.ranks);
   EXPECT_EQ(reach.original_size, rc.original_size);
   const PatternCompression& pattern = mgr.pattern_artifact();
-  EXPECT_TRUE(pattern.gr == pc.gr);
+  EXPECT_TRUE(*pattern.gr == *pc.gr);
   EXPECT_EQ(pattern.node_map, pc.node_map);
   EXPECT_EQ(pattern.members, pc.members);
   EXPECT_EQ(pattern.original_size, pc.original_size);
@@ -591,6 +591,24 @@ TEST(SnapshotManagerTest, ApplyMaintainsArtifactsExactly) {
       EXPECT_EQ(snap->Match(q).match_sets, Match(truth, q).match_sets);
     }
   }
+}
+
+TEST(SnapshotManagerTest, PublishSharesTheMaintainedQuotients) {
+  // A published quotient side holds the maintained artifact's Gr itself,
+  // not a copy of it: maintenance builds Gr frozen, and Publish shares it.
+  SnapshotManager mgr(GenerateUniform(120, 300, 3, 29));
+  ASSERT_EQ(mgr.reach_representation(), SideRepresentation::kQuotient);
+  ASSERT_EQ(mgr.pattern_representation(), SideRepresentation::kQuotient);
+  const ApplyStats applied =
+      mgr.Apply(RandomMixed(mgr.graph(), 12, 0.6, 1000));
+  ASSERT_GT(applied.rcm.kept_updates, 0u);
+  ASSERT_GT(applied.pcm.kept_updates, 0u);
+  const PublishStats published = mgr.Publish();
+  EXPECT_TRUE(published.froze_reach);
+  EXPECT_TRUE(published.froze_pattern);
+  const auto snap = mgr.Acquire();
+  EXPECT_EQ(&snap->reach_gr(), mgr.reach_artifact().gr.get());
+  EXPECT_EQ(&snap->pattern_gr(), mgr.pattern_artifact().gr.get());
 }
 
 // ---------------------------------------------------------------------------

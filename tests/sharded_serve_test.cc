@@ -169,11 +169,11 @@ TEST(ShardViewTest, CompressionPipelineRunsUnmodifiedOnShardView) {
     const ReachCompression rc_view = CompressR(view);
     const ReachCompression rc_mat = CompressR(mat);
     EXPECT_EQ(rc_view.node_map, rc_mat.node_map);
-    EXPECT_EQ(rc_view.gr.EdgeList(), rc_mat.gr.EdgeList());
+    EXPECT_EQ(rc_view.gr->EdgeList(), rc_mat.gr->EdgeList());
     const PatternCompression pc_view = CompressB(view);
     const PatternCompression pc_mat = CompressB(mat);
     EXPECT_EQ(pc_view.node_map, pc_mat.node_map);
-    EXPECT_EQ(pc_view.gr.EdgeList(), pc_mat.gr.EdgeList());
+    EXPECT_EQ(pc_view.gr->EdgeList(), pc_mat.gr->EdgeList());
   }
 }
 

@@ -385,7 +385,7 @@ TEST(StorageRoundTripTest, WarmStartFromIdentityReachSideWithACycle) {
   Result<ReconstructedArtifacts> rebuilt =
       ReconstructArtifacts(g, *loaded.value().snapshot);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().message();
-  EXPECT_EQ(rebuilt.value().rc.gr.num_nodes(), kN - 1);
+  EXPECT_EQ(rebuilt.value().rc.gr->num_nodes(), kN - 1);
 
   SnapshotManager adopted(g, std::move(rebuilt.value().rc),
                           std::move(rebuilt.value().pc));
@@ -437,7 +437,7 @@ TEST(StorageRoundTripTest, ReconstructRejectsCyclicReachSide) {
     ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().message();
     const ReachCompression want = CompressR(g);
     EXPECT_EQ(rebuilt.value().rc.node_map, want.node_map);
-    EXPECT_TRUE(rebuilt.value().rc.gr == want.gr);
+    EXPECT_TRUE(*rebuilt.value().rc.gr == *want.gr);
   }
   std::remove(path.c_str());
 }

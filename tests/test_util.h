@@ -44,16 +44,16 @@ inline bool MatchClasses(const std::vector<std::vector<NodeId>>& a_members,
 inline void ExpectEquivalentReachCompression(const ReachCompression& a,
                                              const ReachCompression& b) {
   ASSERT_EQ(a.node_map.size(), b.node_map.size());
-  ASSERT_EQ(a.gr.num_nodes(), b.gr.num_nodes()) << "class counts differ";
+  ASSERT_EQ(a.gr->num_nodes(), b.gr->num_nodes()) << "class counts differ";
   std::vector<NodeId> a_to_b;
   if (!MatchClasses(a.members, b.node_map, b.members, a_to_b)) return;
-  for (NodeId c = 0; c < a.gr.num_nodes(); ++c) {
+  for (NodeId c = 0; c < a.gr->num_nodes(); ++c) {
     EXPECT_EQ(a.cyclic[c], b.cyclic[a_to_b[c]]) << "cyclic flag, class " << c;
     EXPECT_EQ(a.ranks[c], b.ranks[a_to_b[c]]) << "rank, class " << c;
   }
-  ASSERT_EQ(a.gr.num_edges(), b.gr.num_edges()) << "edge counts differ";
-  a.gr.ForEachEdge([&](NodeId c, NodeId d) {
-    EXPECT_TRUE(b.gr.HasEdge(a_to_b[c], a_to_b[d]))
+  ASSERT_EQ(a.gr->num_edges(), b.gr->num_edges()) << "edge counts differ";
+  a.gr->ForEachEdge([&](NodeId c, NodeId d) {
+    EXPECT_TRUE(b.gr->HasEdge(a_to_b[c], a_to_b[d]))
         << "edge (" << c << "," << d << ") missing in counterpart";
   });
 }
@@ -63,15 +63,15 @@ inline void ExpectEquivalentReachCompression(const ReachCompression& a,
 inline void ExpectEquivalentPatternCompression(const PatternCompression& a,
                                                const PatternCompression& b) {
   ASSERT_EQ(a.node_map.size(), b.node_map.size());
-  ASSERT_EQ(a.gr.num_nodes(), b.gr.num_nodes()) << "block counts differ";
+  ASSERT_EQ(a.gr->num_nodes(), b.gr->num_nodes()) << "block counts differ";
   std::vector<NodeId> a_to_b;
   if (!MatchClasses(a.members, b.node_map, b.members, a_to_b)) return;
-  for (NodeId c = 0; c < a.gr.num_nodes(); ++c) {
-    EXPECT_EQ(a.gr.label(c), b.gr.label(a_to_b[c])) << "label, block " << c;
+  for (NodeId c = 0; c < a.gr->num_nodes(); ++c) {
+    EXPECT_EQ(a.gr->label(c), b.gr->label(a_to_b[c])) << "label, block " << c;
   }
-  ASSERT_EQ(a.gr.num_edges(), b.gr.num_edges()) << "edge counts differ";
-  a.gr.ForEachEdge([&](NodeId c, NodeId d) {
-    EXPECT_TRUE(b.gr.HasEdge(a_to_b[c], a_to_b[d]))
+  ASSERT_EQ(a.gr->num_edges(), b.gr->num_edges()) << "edge counts differ";
+  a.gr->ForEachEdge([&](NodeId c, NodeId d) {
+    EXPECT_TRUE(b.gr->HasEdge(a_to_b[c], a_to_b[d]))
         << "edge (" << c << "," << d << ") missing in counterpart";
   });
 }

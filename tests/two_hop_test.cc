@@ -71,7 +71,7 @@ TEST(TwoHopTest, BuildsOnCompressedGraphUnchanged) {
   const Graph g = PreferentialAttachment(150, 3, 0.5, 77);
   const ReachCompression rc = CompressR(g);
   const TwoHopIndex on_g = TwoHopIndex::Build(g);
-  const TwoHopIndex on_gr = TwoHopIndex::Build(rc.gr);
+  const TwoHopIndex on_gr = TwoHopIndex::Build(*rc.gr);
   const auto queries = RandomReachQueries(g.num_nodes(), 400, 78);
   for (const auto& q : queries) {
     const bool truth = on_g.Reaches(q.u, q.v);
