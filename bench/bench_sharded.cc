@@ -335,13 +335,14 @@ void RoutedThroughputExperiment(const Graph& g, double window_secs) {
     {
       const auto part = mgr.partition_ptr();
       const auto snaps = mgr.AcquireAll();
-      constexpr int kStitchReps = 3;
-      Timer stitch_timer;
+      constexpr int kStitchReps = 9;
+      std::vector<double> stitch_samples;
       for (int i = 0; i < kStitchReps; ++i) {
-        (void)BuildStitchedPatternQuotient(*part, snaps);
+        stitch_samples.push_back(bench::TimeOnce(
+            [&] { (void)BuildStitchedPatternQuotient(*part, snaps); }));
       }
-      const double stitch_secs =
-          stitch_timer.ElapsedSeconds() / kStitchReps;
+      // The median: one stitch that loses the CPU would move a mean.
+      const double stitch_secs = bench::Median(std::move(stitch_samples));
 
       const auto pin = std::make_shared<const PinnedShards>(part, snaps);
       (void)pin->stitched();  // build outside the timed query loop

@@ -2,6 +2,8 @@
 
 #include "bench_util.h"
 
+#include <algorithm>
+
 namespace qpgc::bench {
 
 void Banner(const std::string& experiment, const std::string& paper_ref) {
@@ -28,6 +30,12 @@ double TimeAvg(const std::function<void()>& fn, int reps) {
   double total = 0.0;
   for (int i = 0; i < reps; ++i) total += TimeOnce(fn);
   return total / reps;
+}
+
+double Median(std::vector<double> v) {
+  const auto mid = v.begin() + static_cast<ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid;
 }
 
 std::string Pct(double ratio) {

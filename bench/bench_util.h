@@ -31,6 +31,10 @@ double TimeOnce(const std::function<void()>& fn);
 /// Times fn over `reps` repetitions and returns average seconds.
 double TimeAvg(const std::function<void()>& fn, int reps);
 
+/// Median of a sample (upper median for an even count). A timing reported
+/// as a median does not move when one repetition loses the CPU.
+double Median(std::vector<double> v);
+
 /// Formats a ratio as a percentage string like "5.97%".
 std::string Pct(double ratio);
 

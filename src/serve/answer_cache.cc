@@ -30,7 +30,6 @@ void AppendU32(std::string& out, uint32_t v) {
 
 CacheStats& CacheStats::operator+=(const CacheStats& other) {
   reach_exact_hits += other.reach_exact_hits;
-  reach_subsumption_hits += other.reach_subsumption_hits;
   reach_misses += other.reach_misses;
   reach_inserts += other.reach_inserts;
   reach_evictions += other.reach_evictions;
@@ -71,28 +70,9 @@ VersionAnswerCache::VersionAnswerCache(uint64_t version_id,
   }
 }
 
-bool VersionAnswerCache::FactSet::Contains(uint64_t x) const {
-  return std::find(items.begin(), items.end(), x) != items.end();
-}
-
-bool VersionAnswerCache::FactSet::Add(uint64_t x, size_t cap) {
-  if (Contains(x) || cap == 0) return false;
-  if (items.size() < cap) {
-    items.push_back(x);
-    return false;
-  }
-  items[cursor] = x;
-  cursor = (cursor + 1) % cap;
-  return true;
-}
-
 VersionAnswerCache::Shard& VersionAnswerCache::PairShard(uint64_t cu,
                                                          uint64_t cv) {
   return shards_[PairHash64(cu, cv) % kNumShards];
-}
-
-VersionAnswerCache::Shard& VersionAnswerCache::EndpointShard(uint64_t c) {
-  return shards_[Mix64(c) % kNumShards];
 }
 
 VersionAnswerCache::Shard& VersionAnswerCache::KeyShard(
@@ -100,135 +80,52 @@ VersionAnswerCache::Shard& VersionAnswerCache::KeyShard(
   return shards_[HashBytes(key) % kNumShards];
 }
 
-VersionAnswerCache::EndpointFacts VersionAnswerCache::SnapshotFacts(
-    uint64_t c) {
-  Shard& shard = EndpointShard(c);
-  MutexLock lock(shard.mu);
-  const auto it = shard.facts.find(c);
-  return it == shard.facts.end() ? EndpointFacts{} : it->second;
-}
-
 VersionAnswerCache::ReachHit VersionAnswerCache::LookupReach(uint64_t cu,
                                                              uint64_t cv) {
-  // Tier 1: exact probe. The table is open-addressing with a short linear
-  // window; a hit refreshes the entry's stamp (clock-style recency).
-  {
-    Shard& shard = PairShard(cu, cv);
-    MutexLock lock(shard.mu);
-    const size_t mask = slots_per_shard_ - 1;
-    const size_t base = PairHash64(cu, cv) & mask;
-    for (size_t i = 0; i < kProbeWindow; ++i) {
-      ReachEntry& e = shard.slots[(base + i) & mask];
-      if (e.state != 0 && e.cu == cu && e.cv == cv) {
-        e.stamp = ++shard.tick;
-        ++shard.stats.reach_exact_hits;
-        return e.state == 2 ? ReachHit::kTrue : ReachHit::kFalse;
-      }
+  // The table is open-addressing with a short linear window; a hit
+  // refreshes the entry's stamp (clock-style recency).
+  Shard& shard = PairShard(cu, cv);
+  MutexLock lock(shard.mu);
+  const size_t mask = slots_per_shard_ - 1;
+  const size_t base = PairHash64(cu, cv) & mask;
+  for (size_t i = 0; i < kProbeWindow; ++i) {
+    ReachEntry& e = shard.slots[(base + i) & mask];
+    if (e.state != 0 && e.cu == cu && e.cv == cv) {
+      e.stamp = ++shard.tick;
+      ++shard.stats.reach_exact_hits;
+      return e.state == 2 ? ReachHit::kTrue : ReachHit::kFalse;
     }
   }
-
-  // Tier 2: subsumption by transitivity over cached facts. Fact sets are
-  // copied out under their endpoint shards' locks (never nested), then
-  // intersected lock-free.
-  if (options_.subsumption) {
-    const EndpointFacts u_facts = SnapshotFacts(cu);
-    const EndpointFacts v_facts = SnapshotFacts(cv);
-    const auto intersects = [](const FactSet& a, const FactSet& b) {
-      for (uint64_t x : a.items) {
-        if (b.Contains(x)) return true;
-      }
-      return false;
-    };
-    ReachHit hit = ReachHit::kMiss;
-    // true(cu -> w) and true(w -> cv)  =>  true(cu -> cv).
-    if (intersects(u_facts.true_out, v_facts.true_in)) {
-      hit = ReachHit::kSubsumedTrue;
-    } else if (
-        // false(cu -> d) and true(cv -> d)  =>  false(cu -> cv),
-        // else cu -> cv -> d would be a path.
-        intersects(u_facts.false_out, v_facts.true_out) ||
-        // true(a -> cu) and false(a -> cv)  =>  false(cu -> cv),
-        // else a -> cu -> cv would be a path.
-        intersects(u_facts.true_in, v_facts.false_in)) {
-      hit = ReachHit::kSubsumedFalse;
-    }
-    if (hit != ReachHit::kMiss) {
-      {
-        Shard& shard = PairShard(cu, cv);
-        MutexLock lock(shard.mu);
-        ++shard.stats.reach_subsumption_hits;
-      }
-      // Promote: the derived fact becomes an exact entry (and a new
-      // subsumption fact), so repeats take the tier-1 path.
-      InsertReach(cu, cv, hit == ReachHit::kSubsumedTrue);
-      return hit;
-    }
-  }
-
-  {
-    Shard& shard = PairShard(cu, cv);
-    MutexLock lock(shard.mu);
-    ++shard.stats.reach_misses;
-  }
+  ++shard.stats.reach_misses;
   return ReachHit::kMiss;
 }
 
-void VersionAnswerCache::RecordFact(uint64_t endpoint, uint64_t other,
-                                    bool answer, bool out) {
-  Shard& shard = EndpointShard(endpoint);
-  MutexLock lock(shard.mu);
-  auto it = shard.facts.find(endpoint);
-  if (it == shard.facts.end()) {
-    // Bound the endpoint universe: past the cap, recycle an arbitrary
-    // tracked endpoint (dropping facts is always sound).
-    const size_t cap =
-        std::max<size_t>(1, options_.subsumption_endpoints / kNumShards);
-    if (shard.facts.size() >= cap && !shard.facts.empty()) {
-      shard.facts.erase(shard.facts.begin());
-      ++shard.stats.reach_evictions;
-    }
-    it = shard.facts.emplace(endpoint, EndpointFacts{}).first;
-  }
-  EndpointFacts& facts = it->second;
-  FactSet& set = answer ? (out ? facts.true_out : facts.true_in)
-                        : (out ? facts.false_out : facts.false_in);
-  if (set.Add(other, options_.facts_per_endpoint)) {
-    ++shard.stats.reach_evictions;
-  }
-}
-
 void VersionAnswerCache::InsertReach(uint64_t cu, uint64_t cv, bool answer) {
-  {
-    Shard& shard = PairShard(cu, cv);
-    MutexLock lock(shard.mu);
-    const size_t mask = slots_per_shard_ - 1;
-    const size_t base = PairHash64(cu, cv) & mask;
-    ReachEntry* victim = nullptr;
-    for (size_t i = 0; i < kProbeWindow; ++i) {
-      ReachEntry& e = shard.slots[(base + i) & mask];
-      if (e.state != 0 && e.cu == cu && e.cv == cv) {
-        e.state = answer ? 2 : 1;  // immutable per version in practice
-        e.stamp = ++shard.tick;
-        return;
-      }
-      if (e.state == 0) {
-        if (victim == nullptr || victim->state != 0) victim = &e;
-      } else if (victim == nullptr ||
-                 (victim->state != 0 && e.stamp < victim->stamp)) {
-        victim = &e;
-      }
+  Shard& shard = PairShard(cu, cv);
+  MutexLock lock(shard.mu);
+  const size_t mask = slots_per_shard_ - 1;
+  const size_t base = PairHash64(cu, cv) & mask;
+  ReachEntry* victim = nullptr;
+  for (size_t i = 0; i < kProbeWindow; ++i) {
+    ReachEntry& e = shard.slots[(base + i) & mask];
+    if (e.state != 0 && e.cu == cu && e.cv == cv) {
+      e.state = answer ? 2 : 1;  // immutable per version in practice
+      e.stamp = ++shard.tick;
+      return;
     }
-    if (victim->state != 0) ++shard.stats.reach_evictions;
-    victim->cu = cu;
-    victim->cv = cv;
-    victim->state = answer ? 2 : 1;
-    victim->stamp = ++shard.tick;
-    ++shard.stats.reach_inserts;
+    if (e.state == 0) {
+      if (victim == nullptr || victim->state != 0) victim = &e;
+    } else if (victim == nullptr ||
+               (victim->state != 0 && e.stamp < victim->stamp)) {
+      victim = &e;
+    }
   }
-  if (options_.subsumption) {
-    RecordFact(cu, cv, answer, /*out=*/true);
-    RecordFact(cv, cu, answer, /*out=*/false);
-  }
+  if (victim->state != 0) ++shard.stats.reach_evictions;
+  victim->cu = cu;
+  victim->cv = cv;
+  victim->state = answer ? 2 : 1;
+  victim->stamp = ++shard.tick;
+  ++shard.stats.reach_inserts;
 }
 
 bool VersionAnswerCache::LookupNegativeMatch(const std::string& key) {
@@ -319,15 +216,9 @@ bool CachedSnapshot::Reach(NodeId u, NodeId v, PathMode mode,
   // block — so one cached answer covers all equivalent probes.
   const uint64_t cu = map[u];
   const uint64_t cv = map[v];
-  switch (cache_->LookupReach(cu, cv)) {
-    case VersionAnswerCache::ReachHit::kTrue:
-    case VersionAnswerCache::ReachHit::kSubsumedTrue:
-      return true;
-    case VersionAnswerCache::ReachHit::kFalse:
-    case VersionAnswerCache::ReachHit::kSubsumedFalse:
-      return false;
-    case VersionAnswerCache::ReachHit::kMiss:
-      break;
+  const VersionAnswerCache::ReachHit hit = cache_->LookupReach(cu, cv);
+  if (hit != VersionAnswerCache::ReachHit::kMiss) {
+    return hit == VersionAnswerCache::ReachHit::kTrue;
   }
   const bool answer = snap_->Reach(u, v, PathMode::kNonEmpty, algo);
   cache_->InsertReach(cu, cv, answer);
@@ -335,7 +226,6 @@ bool CachedSnapshot::Reach(NodeId u, NodeId v, PathMode mode,
 }
 
 bool CachedSnapshot::BooleanMatch(const PatternQuery& q) const {
-  if (!cache_->options().negative_match) return snap_->BooleanMatch(q);
   const std::string key = CanonicalPatternKey(q);
   if (cache_->LookupNegativeMatch(key)) return false;
   const bool matched = snap_->BooleanMatch(q);
@@ -365,15 +255,9 @@ bool CachedPinnedShards::Reach(NodeId u, NodeId v, PathMode mode) const {
   // non-empty-path reachability.
   const uint64_t cu = u;
   const uint64_t cv = v;
-  switch (cache_->LookupReach(cu, cv)) {
-    case VersionAnswerCache::ReachHit::kTrue:
-    case VersionAnswerCache::ReachHit::kSubsumedTrue:
-      return true;
-    case VersionAnswerCache::ReachHit::kFalse:
-    case VersionAnswerCache::ReachHit::kSubsumedFalse:
-      return false;
-    case VersionAnswerCache::ReachHit::kMiss:
-      break;
+  const VersionAnswerCache::ReachHit hit = cache_->LookupReach(cu, cv);
+  if (hit != VersionAnswerCache::ReachHit::kMiss) {
+    return hit == VersionAnswerCache::ReachHit::kTrue;
   }
   const bool answer = pins_->Reach(u, v, PathMode::kNonEmpty);
   cache_->InsertReach(cu, cv, answer);
@@ -381,7 +265,6 @@ bool CachedPinnedShards::Reach(NodeId u, NodeId v, PathMode mode) const {
 }
 
 bool CachedPinnedShards::BooleanMatch(const PatternQuery& q) const {
-  if (!cache_->options().negative_match) return pins_->BooleanMatch(q);
   const std::string key = CanonicalPatternKey(q);
   if (cache_->LookupNegativeMatch(key)) return false;
   const bool matched = pins_->BooleanMatch(q);

@@ -2,23 +2,17 @@
 //
 // Answer-caching serving tier: a per-snapshot-version memo cache in front of
 // QueryService / ShardedQueryService, so repeated traffic is answered by
-// remembering work instead of redoing it. Three lookup tiers run before any
+// remembering work instead of redoing it. Two lookup tiers run before any
 // quotient walk:
 //
-//  1. *Exact*: a bounded open-addressing table keyed on the canonical reach
-//     pair. Unsharded serving canonicalizes endpoints to reach-quotient
+//  1. *Exact reach*: a bounded open-addressing table keyed on the canonical
+//     reach pair. Unsharded serving canonicalizes endpoints to reach-quotient
 //     block ids via the snapshot node map, so one cached answer serves every
 //     pair of nodes in the same blocks; sharded serving keys on original
 //     node ids (a node's global reach identity is NOT determined by its
 //     home-shard block — it may have in-edges in other shards — so
 //     block-level transfer would be unsound there; see docs/CACHING.md).
-//  2. *Subsumption*: per-canonical-endpoint compact sets of known-true and
-//     known-false facts. A cached true reach(u→w) plus true reach(w→v)
-//     answers reach(u→v) true; a cached false reach(u→d) plus true
-//     reach(v→d) — or true reach(a→u) plus false reach(a→v) — answers
-//     reach(u→v) false. All three rules are pure transitivity, sound on any
-//     fixed graph (the klee-mc CexCachingSolver superset/subset shape).
-//  3. *Negative match*: BooleanMatch misses keyed on the full canonical
+//  2. *Negative match*: BooleanMatch misses keyed on the full canonical
 //     pattern serialization (bucketed by its structural hash, compared by
 //     bytes — a hash collision can never fabricate an answer; the klee-mc
 //     PoisonCache shape).
@@ -53,35 +47,21 @@ namespace qpgc {
 /// Tuning knobs for one AnswerCache (all sizes are hard bounds; the cache
 /// never allocates past them — overwrite eviction, not growth).
 struct AnswerCacheOptions {
-  /// Enable the subsumption tier (tier 2).
-  bool subsumption = true;
-  /// Enable the negative BooleanMatch cache (tier 3).
-  bool negative_match = true;
   /// Exact reach table capacity, in entries (rounded up to a power of two).
   size_t reach_capacity = 1 << 16;
   /// Negative match cache capacity, in entries.
   size_t match_capacity = 1 << 10;
-  /// Per-endpoint bound on each subsumption fact set (true/false × in/out).
-  size_t facts_per_endpoint = 16;
-  /// Bound on distinct endpoints tracked by the subsumption index.
-  size_t subsumption_endpoints = 1 << 12;
   /// How many snapshot versions keep live caches at once; publishing past
   /// this retires the oldest (pinned readers holding its handle keep using
   /// it until they unpin — the stats snapshot freezes at retirement).
   size_t max_versions = 4;
-
-  /// Tier-1-only configuration (qpgc_tool --cache=exact).
-  static AnswerCacheOptions ExactOnly() {
-    AnswerCacheOptions o;
-    o.subsumption = false;
-    o.negative_match = false;
-    return o;
-  }
 };
 
 /// Counter snapshot for one cache (or one aggregation of caches).
 struct CacheStats {
   uint64_t reach_exact_hits = 0;
+  /// Always 0. bench/e2e still reports it, and only a benchmark change may
+  /// drop it (ROADMAP.md, item 13).
   uint64_t reach_subsumption_hits = 0;
   uint64_t reach_misses = 0;
   uint64_t reach_inserts = 0;
@@ -91,11 +71,10 @@ struct CacheStats {
   uint64_t match_inserts = 0;
   uint64_t match_evictions = 0;
 
-  uint64_t reach_hits() const { return reach_exact_hits + reach_subsumption_hits; }
   /// Fraction of reach lookups answered from the cache (0 when idle).
   double ReachHitRate() const {
-    const uint64_t total = reach_hits() + reach_misses;
-    return total == 0 ? 0.0 : static_cast<double>(reach_hits()) / total;
+    const uint64_t total = reach_exact_hits + reach_misses;
+    return total == 0 ? 0.0 : static_cast<double>(reach_exact_hits) / total;
   }
   CacheStats& operator+=(const CacheStats& other);
 };
@@ -107,15 +86,17 @@ std::string CanonicalPatternKey(const PatternQuery& q);
 
 /// The memo state of ONE artifact version: a sharded-by-key, annotated-mutex
 /// table bank. Thread-safe for any number of concurrent readers; lookups
-/// mutate only counters, stamps, and fact sets under per-shard mutexes.
+/// mutate only counters and stamps under per-shard mutexes.
 class VersionAnswerCache {
  public:
   enum class ReachHit : uint8_t {
     kMiss,
-    kTrue,           // exact tier
-    kFalse,          // exact tier
-    kSubsumedTrue,   // subsumption tier
-    kSubsumedFalse,  // subsumption tier
+    kTrue,
+    kFalse,
+    // Never returned. bench/e2e still switches on both names, and only a
+    // benchmark change may drop them (ROADMAP.md, item 13).
+    kSubsumedTrue,   // waits for that change
+    kSubsumedFalse,  // waits for that change
   };
 
   VersionAnswerCache(uint64_t version_id, const AnswerCacheOptions& options);
@@ -124,19 +105,17 @@ class VersionAnswerCache {
   VersionAnswerCache& operator=(const VersionAnswerCache&) = delete;
 
   uint64_t version_id() const { return version_id_; }
-  const AnswerCacheOptions& options() const { return options_; }
 
-  /// Tier 1 then (on miss, if enabled) tier 2 for the canonical pair
-  /// (cu, cv). A subsumption hit is promoted into the exact table.
+  /// Tier 1: one exact probe for the canonical pair (cu, cv).
   ReachHit LookupReach(uint64_t cu, uint64_t cv);
 
-  /// Records a freshly evaluated (or subsumed) canonical reach fact.
+  /// Records a freshly evaluated canonical reach fact.
   void InsertReach(uint64_t cu, uint64_t cv, bool answer);
 
-  /// Tier 3: true iff `key` is a known BooleanMatch miss.
+  /// Tier 2: true iff `key` is a known BooleanMatch miss.
   bool LookupNegativeMatch(const std::string& key);
 
-  /// Records a BooleanMatch outcome; only misses are stored (tier 3 is a
+  /// Records a BooleanMatch outcome; only misses are stored (tier 2 is a
   /// negative cache), but hits still count as match_misses for the rate.
   void InsertMatchOutcome(const std::string& key, bool matched);
 
@@ -156,39 +135,16 @@ class VersionAnswerCache {
     uint8_t state = 0;  // 0 = empty, 1 = cached false, 2 = cached true
   };
 
-  // A bounded unordered fact set with ring-cursor overwrite at capacity.
-  struct FactSet {
-    std::vector<uint64_t> items;
-    size_t cursor = 0;
-
-    bool Contains(uint64_t x) const;
-    /// Returns true when an existing fact was overwritten (an eviction).
-    bool Add(uint64_t x, size_t cap);
-  };
-
-  struct EndpointFacts {
-    FactSet true_out;   // {w : reach(this -> w) cached true}
-    FactSet true_in;    // {a : reach(a -> this) cached true}
-    FactSet false_out;  // {d : reach(this -> d) cached false}
-    FactSet false_in;   // {a : reach(a -> this) cached false}
-  };
-
   struct Shard {
     mutable Mutex mu;
     std::vector<ReachEntry> slots QPGC_GUARDED_BY(mu);
     uint32_t tick QPGC_GUARDED_BY(mu) = 0;
-    std::unordered_map<uint64_t, EndpointFacts> facts QPGC_GUARDED_BY(mu);
     std::unordered_map<std::string, uint32_t> negative QPGC_GUARDED_BY(mu);
     CacheStats stats QPGC_GUARDED_BY(mu);
   };
 
   Shard& PairShard(uint64_t cu, uint64_t cv);
-  Shard& EndpointShard(uint64_t c);
   Shard& KeyShard(const std::string& key);
-  /// Copies endpoint c's fact sets out under its shard lock (empty sets when
-  /// the endpoint is untracked), so set intersection runs lock-free.
-  EndpointFacts SnapshotFacts(uint64_t c);
-  void RecordFact(uint64_t endpoint, uint64_t other, bool answer, bool out);
 
   const uint64_t version_id_;
   const AnswerCacheOptions options_;
@@ -210,8 +166,6 @@ class AnswerCache {
   /// snapshots.
   CacheStats Stats() const;
 
-  const AnswerCacheOptions& options() const { return options_; }
-
  private:
   const AnswerCacheOptions options_;
   mutable Mutex mu_;
@@ -231,7 +185,7 @@ class CachedSnapshot {
   uint64_t version() const { return snap_->version(); }
   size_t original_num_nodes() const { return snap_->original_num_nodes(); }
 
-  /// QR(u, v) through the cache tiers; canonical key = reach-quotient block
+  /// QR(u, v) through the exact tier; canonical key = reach-quotient block
   /// pair under non-empty-path semantics (the reflexive diagonal never
   /// reaches the cache).
   bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive,
@@ -272,7 +226,6 @@ class CachedQueryService {
   }
 
   CacheStats cache_stats() const { return cache_.Stats(); }
-  const AnswerCacheOptions& cache_options() const { return cache_.options(); }
 
  private:
   const SnapshotManager& manager_;
@@ -293,7 +246,7 @@ class CachedPinnedShards {
 
   size_t original_num_nodes() const { return pins_->original_num_nodes(); }
 
-  /// Global QR(u, v) through the cache tiers.
+  /// Global QR(u, v) through the exact tier.
   bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive) const;
 
   MatchResult Match(const PatternQuery& q) const { return pins_->Match(q); }
@@ -330,7 +283,6 @@ class CachedShardedQueryService {
   }
 
   CacheStats cache_stats() const { return cache_.Stats(); }
-  const AnswerCacheOptions& cache_options() const { return cache_.options(); }
 
  private:
   ShardedQueryService inner_;

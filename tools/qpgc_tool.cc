@@ -24,7 +24,7 @@
 //                       and publishes per policy (serve/snapshot_manager.h).
 //                       Flags: --readers=N --duration=SECS --batch-size=N
 //                       --publish-every=N | --staleness-ms=MS
-//                       --zipf-s=S --hot-set=N --cache[=off|exact|full]
+//                       --zipf-s=S --hot-set=N --cache[=off]
 //                       --mmap (post-stream A/B: save the final snapshot,
 //                       reopen it memory-mapped, and drive the same timed
 //                       read window off the mapping vs the in-RAM service)
@@ -34,8 +34,7 @@
 // answer caching feeds on. `--cache` runs a post-stream A/B on the final
 // version — the same timed read-only window uncached and through the
 // serve/answer_cache.h facade — and prints both qps figures plus the hit
-// rate (exact=full tiering per docs/CACHING.md; exact disables subsumption
-// and the negative match cache).
+// rate (docs/CACHING.md).
 //
 // `save` and `serve-sim` accept --shards=K (default 1) and
 // --partitioner=hash|contiguous|structure (default hash; docs/SHARDING.md
@@ -102,7 +101,7 @@ int Usage() {
                "                      [--batch-size=N] [--publish-every=N | "
                "--staleness-ms=MS]\n"
                "                      [--zipf-s=S] [--hot-set=N] "
-               "[--cache[=off|exact|full]] [--mmap]\n");
+               "[--cache[=off]] [--mmap]\n");
   return 2;
 }
 
@@ -439,8 +438,6 @@ int CmdLoad(const std::vector<const char*>& args) {
 
 // --- serve-sim -------------------------------------------------------------
 
-enum class CacheMode { kOff, kExact, kFull };
-
 struct ServeSimOptions {
   const char* edges = nullptr;
   const char* labels = nullptr;
@@ -454,7 +451,7 @@ struct ServeSimOptions {
   // Workload: uniform endpoints unless --zipf-s is given.
   double zipf_s = -1.0;
   size_t hot_set = 1024;
-  CacheMode cache = CacheMode::kOff;
+  bool cache = false;
   bool mmap_ab = false;
   PartitionerKind partitioner = PartitionerKind::kHash;
 };
@@ -487,13 +484,12 @@ void RunCacheComparison(const Service& uncached, const CachedService& cached,
   std::printf(
       "cache A/B: %.0f reach/s uncached, %.0f reach/s cached (%.2fx) over "
       "%.2fs windows\n"
-      "           hit rate %.3f (%llu exact, %llu subsumption, %llu misses, "
-      "%llu evictions)\n",
+      "           hit rate %.3f (%llu exact hits, %llu misses, %llu "
+      "evictions)\n",
       uncached_qps, cached_qps,
       uncached_qps > 0 ? cached_qps / uncached_qps : 0.0, window_secs,
       stats.ReachHitRate(),
       static_cast<unsigned long long>(stats.reach_exact_hits),
-      static_cast<unsigned long long>(stats.reach_subsumption_hits),
       static_cast<unsigned long long>(stats.reach_misses),
       static_cast<unsigned long long>(stats.reach_evictions));
 }
@@ -512,17 +508,12 @@ int CmdServeSim(const std::vector<const char*>& args) {
           ParseDoubleFlag(arg, "--zipf-s=", &opts.zipf_s)) {
         continue;
       }
-      if (std::strcmp(arg, "--cache") == 0 ||
-          std::strcmp(arg, "--cache=full") == 0) {
-        opts.cache = CacheMode::kFull;
-        continue;
-      }
-      if (std::strcmp(arg, "--cache=exact") == 0) {
-        opts.cache = CacheMode::kExact;
+      if (std::strcmp(arg, "--cache") == 0) {
+        opts.cache = true;
         continue;
       }
       if (std::strcmp(arg, "--cache=off") == 0) {
-        opts.cache = CacheMode::kOff;
+        opts.cache = false;
         continue;
       }
       if (std::strcmp(arg, "--mmap") == 0) {
@@ -579,9 +570,6 @@ int CmdServeSim(const std::vector<const char*>& args) {
   } else {
     std::printf("workload: uniform endpoints\n");
   }
-  const AnswerCacheOptions cache_options = opts.cache == CacheMode::kExact
-                                               ? AnswerCacheOptions::ExactOnly()
-                                               : AnswerCacheOptions{};
 
   // Boolean-match load only runs on labeled graphs (ServeLoadPatterns
   // returns an empty set otherwise); reach load always runs.
@@ -667,8 +655,8 @@ int CmdServeSim(const std::vector<const char*>& args) {
                   static_cast<unsigned long long>(snap->version()),
                   snap->boundary_exits().size(), SideSizes(*snap).c_str());
     }
-    if (opts.cache != CacheMode::kOff) {
-      const CachedShardedQueryService cached(manager, cache_options);
+    if (opts.cache) {
+      const CachedShardedQueryService cached(manager);
       RunCacheComparison(service, cached, workload,
                          std::min(opts.duration_secs, 1.0), opts.readers);
     }
@@ -737,8 +725,8 @@ int CmdServeSim(const std::vector<const char*>& args) {
       static_cast<double>(match_queries.load()) / elapsed, opts.readers,
       FormatBytes(final_snap->MemoryBytes()).c_str(),
       SideSizes(*final_snap).c_str());
-  if (opts.cache != CacheMode::kOff) {
-    const CachedQueryService cached(manager, cache_options);
+  if (opts.cache) {
+    const CachedQueryService cached(manager);
     RunCacheComparison(service, cached, workload,
                        std::min(opts.duration_secs, 1.0), opts.readers);
   }
