@@ -3,6 +3,7 @@
 #include "core/pattern_scheme.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "graph/csr.h"
 #include "util/bitset.h"
@@ -21,19 +22,19 @@ PatternCompression CompressB(const Graph& g) {
   return CompressB<CsrGraph>(frozen);
 }
 
-MatchResult ExpandMatch(const PatternCompression& pc, const MatchResult& on_gr) {
-  return ExpandMatch(pc.members, pc.node_map, on_gr);
+MatchResult ExpandMatch(const PatternCompression& pc, MatchResult on_gr) {
+  return ExpandMatch(pc.members, pc.node_map, std::move(on_gr));
 }
 
 MatchResult ExpandMatch(const std::vector<std::vector<NodeId>>& members,
                         const std::vector<NodeId>& node_map,
-                        const MatchResult& on_gr) {
+                        MatchResult on_gr) {
   return ExpandMatchWith(
       members.size(), node_map,
       [&](NodeId block) -> const std::vector<NodeId>& {
         return members[block];
       },
-      on_gr);
+      std::move(on_gr));
 }
 
 MatchResult MatchOnCompressed(const PatternCompression& pc,

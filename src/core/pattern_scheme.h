@@ -18,9 +18,11 @@
 #ifndef QPGC_CORE_PATTERN_SCHEME_H_
 #define QPGC_CORE_PATTERN_SCHEME_H_
 
+#include <bit>
 #include <cstddef>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bisim/paige_tarjan.h"
@@ -100,55 +102,67 @@ PatternCompression CompressB(const Graph& g);
 
 /// The post-processing function P over any member representation: expands
 /// the block-level match `on_gr` through `members_of` (block id -> range of
-/// member node ids, used only for size pre-reservation) and `node_map`
-/// (node -> block; kInvalidNode marks nodes outside every expandable block
-/// — sharded serving's ghost nodes). Member lists are disjoint sorted runs,
-/// so one block-mask pass over the node map emits each answer set in
-/// ascending order without a comparison sort. O(|Qp(G)| + |V|) per call.
-/// This single implementation serves both the artifact-level overloads
-/// below (vector-of-vectors member index) and the frozen serving snapshot
-/// (flattened member index; serve/snapshot.cc).
+/// member node ids). `node_map` (node -> block) only sizes the answer
+/// space |V|; blocks list only the nodes they own, so sharded serving's
+/// ghost nodes (kInvalidNode there) are never emitted. Per pattern node,
+/// every answer block's members are set in one |V|-bit bitset whose set
+/// bits are then read off a word at a time, so each answer set comes out
+/// ascending without a comparison sort: O(|Qp(G)| + |V|/64) per pattern
+/// node. `on_gr` is taken by value and its block-level fixpoint moved
+/// through. This single implementation serves both the artifact-level
+/// overloads below (vector-of-vectors member index) and the frozen
+/// serving snapshots (flattened member index; serve/snapshot.cc).
 template <typename MembersFn>
 MatchResult ExpandMatchWith(size_t num_blocks, std::span<const NodeId> node_map,
-                            MembersFn&& members_of,
-                            const MatchResult& on_gr) {
+                            MembersFn&& members_of, MatchResult on_gr) {
   MatchResult expanded;
   expanded.matched = on_gr.matched;
   // P expands the answer sets only; the fixpoint stays at block granularity
-  // (an evaluation-internal artifact, copied through for callers that want
+  // (an evaluation-internal artifact, passed through for callers that want
   // the raw fixpoint).
-  expanded.fixpoint_sets = on_gr.fixpoint_sets;
+  expanded.fixpoint_sets = std::move(on_gr.fixpoint_sets);
   expanded.match_sets.resize(on_gr.match_sets.size());
-  Bitset block_mask(num_blocks);
+  // Sized at the first non-empty answer set, so an unmatched query (every
+  // set empty) expands without touching |V|.
+  Bitset answer;
   for (size_t u = 0; u < on_gr.match_sets.size(); ++u) {
+    if (on_gr.match_sets[u].empty()) continue;
+    if (answer.size() == 0) answer.Resize(node_map.size());
     size_t total = 0;
     for (const NodeId block : on_gr.match_sets[u]) {
       QPGC_CHECK(block < num_blocks);
-      block_mask.Set(block);
-      total += members_of(block).size();
+      const auto& members = members_of(block);
+      for (const NodeId v : members) answer.Set(v);
+      total += members.size();
     }
     auto& out = expanded.match_sets[u];
     out.reserve(total);
-    if (total > 0) {
-      for (NodeId v = 0; v < node_map.size(); ++v) {
-        if (node_map[v] != kInvalidNode && block_mask.Test(node_map[v])) {
-          out.push_back(v);
-        }
-      }
+    // Read the set bits off and clear their words in the same pass, so the
+    // bitset is empty again for the next pattern node.
+    Bitset::Word* words = answer.mutable_words();
+    for (size_t wi = 0; wi < answer.num_words(); ++wi) {
+      Bitset::Word w = words[wi];
+      if (w == 0) continue;
+      words[wi] = 0;
+      const NodeId base = static_cast<NodeId>(wi * Bitset::kWordBits);
+      do {
+        out.push_back(base + static_cast<NodeId>(std::countr_zero(w)));
+        w &= w - 1;
+      } while (w != 0);
     }
-    for (const NodeId block : on_gr.match_sets[u]) block_mask.Clear(block);
   }
   return expanded;
 }
 
-/// P from a batch compression artifact. O(|Qp(G)|).
-MatchResult ExpandMatch(const PatternCompression& pc, const MatchResult& on_gr);
+/// P from a batch compression artifact. O(|Qp(G)| + |V|/64) per pattern
+/// node.
+MatchResult ExpandMatch(const PatternCompression& pc, MatchResult on_gr);
 
 /// Same P from the raw quotient metadata (member index + node map) instead
 /// of a PatternCompression (used by the incremental layer and tests).
 MatchResult ExpandMatch(const std::vector<std::vector<NodeId>>& members,
                         const std::vector<NodeId>& node_map,
-                        const MatchResult& on_gr);
+                        MatchResult on_gr);
 
 /// Convenience: evaluate a pattern on the compressed graph (F = identity,
 /// then Match on Gr, then P).

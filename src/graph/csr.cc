@@ -32,6 +32,7 @@ void CsrGraph::RefreezeMapped(
     const G& g, const std::vector<NodeId>& remap, size_t new_n,
     std::vector<std::pair<NodeId, NodeId>>* dropped_out_edges) {
   QPGC_CHECK(remap.size() == g.num_nodes());
+  label_index_.Reset();
   labels_.resize(new_n);
   out_offsets_.resize(new_n + 1);
   in_offsets_.resize(new_n + 1);
@@ -79,6 +80,7 @@ void CsrGraph::AdoptCsr(std::vector<uint64_t> out_offsets,
              out_offsets.back() == out_targets.size());
   const size_t n = out_offsets.size() - 1;
   QPGC_CHECK(labels.size() == n);
+  label_index_.Reset();
   out_offsets_ = std::move(out_offsets);
   out_targets_ = std::move(out_targets);
   labels_ = std::move(labels);
@@ -99,6 +101,13 @@ void CsrGraph::AdoptCsr(std::vector<uint64_t> out_offsets,
   }
 }
 
+const LabelIndex& CsrGraph::label_index() const {
+  return label_index_.Get([this] {
+    return LabelIndex::Build(num_nodes(),
+                             [this](NodeId v) { return labels_[v]; });
+  });
+}
+
 size_t CsrGraph::CountDistinctLabels() const {
   return qpgc::CountDistinctLabels(*this);
 }
@@ -113,7 +122,7 @@ std::vector<std::pair<NodeId, NodeId>> CsrGraph::EdgeList() const {
 size_t CsrGraph::MemoryBytes() const {
   return VectorBytes(out_offsets_) + VectorBytes(out_targets_) +
          VectorBytes(in_offsets_) + VectorBytes(in_targets_) +
-         VectorBytes(labels_);
+         VectorBytes(labels_) + label_index_.MemoryBytes();
 }
 
 bool CsrBfsReaches(const CsrGraph& g, NodeId u, NodeId v, PathMode mode) {

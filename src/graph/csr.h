@@ -21,6 +21,7 @@
 
 #include "graph/graph.h"
 #include "graph/graph_view.h"
+#include "graph/label_index.h"
 #include "graph/traversal.h"
 #include "util/common.h"
 #include "util/lifetime_annotations.h"
@@ -31,7 +32,8 @@ namespace qpgc {
 /// GSL Owner: neighbor spans point into the flat arrays this object owns —
 /// valid until it is destroyed or reassigned (docs/LIFETIMES.md; the
 /// serving layer keeps them valid by pinning the snapshot that owns the
-/// enclosing frozen side).
+/// enclosing frozen side). The one state added after construction is the
+/// lazily built label index (label_index()); a copy starts without one.
 class QPGC_GSL_OWNER CsrGraph {
  public:
   /// An empty snapshot (0 nodes).
@@ -48,8 +50,9 @@ class QPGC_GSL_OWNER CsrGraph {
   /// to a dropped one is appended to it as (new source id, ORIGINAL target
   /// id) — collected in the same traversal so callers that need them (the
   /// frozen pattern side's ghost-directed cross edges, serve/snapshot.h)
-  /// do not pay a second sweep. Instantiated for Graph (a shard's graph)
-  /// and CsrGraph (a maintained quotient) in csr.cc.
+  /// do not pay a second sweep. Drops the label index. Instantiated for
+  /// Graph (a shard's graph) and CsrGraph (a maintained quotient) in
+  /// csr.cc.
   template <GraphView G>
   void RefreezeMapped(
       const G& g, const std::vector<NodeId>& remap, size_t new_n,
@@ -61,7 +64,8 @@ class QPGC_GSL_OWNER CsrGraph {
   /// in-direction in one counting pass. This is the freeze path for code
   /// that already produces flat sorted adjacency — the router's stitched
   /// quotient assembler (serve/router.cc) — and skips the dynamic-Graph
-  /// round trip of the Graph constructor.
+  /// round trip of the Graph constructor. Like RefreezeMapped, drops the
+  /// label index.
   void AdoptCsr(std::vector<uint64_t> out_offsets,
                 std::vector<NodeId> out_targets, std::vector<Label> labels);
 
@@ -95,6 +99,14 @@ class QPGC_GSL_OWNER CsrGraph {
   const std::vector<Label>& labels() const QPGC_LIFETIME_BOUND {
     return labels_;
   }
+
+  /// The node ids grouped by label (graph/label_index.h), which Match
+  /// copies its candidate sets from. Built on the first call and installed
+  /// by one atomic pointer exchange, so any number of threads may call it
+  /// at once, and a graph that is never matched allocates nothing. The
+  /// reference is valid while this graph lives; AdoptCsr, RefreezeMapped
+  /// and assignment drop the index, like the arrays it describes.
+  const LabelIndex& label_index() const QPGC_LIFETIME_BOUND;
 
   /// Dense in-edge interface (graph/graph_view.h's DenseInEdgeView): the
   /// id of u's first in-edge, and the flat source array all in-edge ids
@@ -139,7 +151,8 @@ class QPGC_GSL_OWNER CsrGraph {
            out_targets_ == other.out_targets_;
   }
 
-  /// Heap bytes of the snapshot (contrast with Graph::MemoryBytes()).
+  /// Heap bytes of the snapshot (contrast with Graph::MemoryBytes()), the
+  /// label index included once built.
   size_t MemoryBytes() const;
 
  private:
@@ -148,6 +161,7 @@ class QPGC_GSL_OWNER CsrGraph {
   std::vector<uint64_t> in_offsets_;
   std::vector<NodeId> in_targets_;
   std::vector<Label> labels_;
+  LabelIndexSlot label_index_;
 };
 
 static_assert(GraphView<Graph>);
@@ -155,6 +169,8 @@ static_assert(GraphView<CsrGraph>);
 static_assert(GraphView<ReversedView<CsrGraph>>);
 static_assert(DenseInEdgeView<CsrGraph>);
 static_assert(!DenseInEdgeView<Graph>);  // vector-of-vectors has no flat array
+static_assert(LabelIndexedView<CsrGraph>);
+static_assert(!LabelIndexedView<Graph>);  // mutable labels: Match scans
 
 /// BFS reachability on the frozen view — the same stock algorithm as
 /// BfsReaches, on the flat layout. (Kept as a named entry point; it is the

@@ -12,6 +12,14 @@
 // of the greatest fixpoint converges exactly to it — which is what makes
 // warm starts (incremental matching, pattern/inc_match.h) exact as well.
 //
+// Candidate initialization costs what its sets hold: a frozen view
+// (CsrGraph, the mapped MmapCsrGraph) carries a label index
+// (graph/label_index.h), and S(u) is a copy of fv(u)'s range there, so
+// Match on a quotient never touches the blocks no pattern label names. The
+// index is built on the view's first Match, in about the time one
+// node-by-node scan takes, and shared by every later one. The dynamic
+// Graph, whose labels change under maintenance, keeps that scan.
+//
 // One prune is evaluated one of two ways:
 //   * pull (finite k < |V|): each v in S(u) asks its own out-edges, with
 //     early exit at the first witness — the bottom-up step of
@@ -43,6 +51,7 @@
 
 #include "graph/graph.h"
 #include "graph/graph_view.h"
+#include "graph/label_index.h"
 #include "graph/traversal.h"
 #include "pattern/pattern.h"
 #include "util/bitset.h"
@@ -307,14 +316,23 @@ bool RunFixpoint(const G& g, const PatternQuery& q,
   return true;
 }
 
-// S(u) = every node labelled fv(u), sorted.
+// S(u) = every node labelled fv(u), sorted: a copy of the label's range
+// of the view's label index when it has one, else a scan of every node.
 template <GraphView G>
 std::vector<std::vector<NodeId>> LabelCandidates(const G& g,
                                                  const PatternQuery& q) {
   std::vector<std::vector<NodeId>> candidates(q.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+  if constexpr (LabelIndexedView<G>) {
+    const LabelIndex& index = g.label_index();
     for (uint32_t u = 0; u < q.num_nodes(); ++u) {
-      if (q.label(u) == g.label(v)) candidates[u].push_back(v);
+      const std::span<const NodeId> nodes = index.Nodes(q.label(u));
+      candidates[u].assign(nodes.begin(), nodes.end());
+    }
+  } else {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      for (uint32_t u = 0; u < q.num_nodes(); ++u) {
+        if (q.label(u) == g.label(v)) candidates[u].push_back(v);
+      }
     }
   }
   return candidates;

@@ -84,9 +84,9 @@ struct StitchedPatternQuotient {
   /// origin[b] = (shard, local block id) of stitched node b — the key into
   /// that shard's member index for the expansion P.
   std::vector<std::pair<uint32_t, NodeId>> origin;
-  /// node_map[v] = stitched block of original node v (via v's home shard) —
-  /// what lets the expansion P emit ascending answer sets with the shared
-  /// block-mask pass instead of a comparison sort.
+  /// node_map[v] = stitched block of original node v (via v's home shard).
+  /// The expansion P reads only its length, |V|: answers expand through
+  /// the shards' member indexes.
   std::vector<NodeId> node_map;
 };
 

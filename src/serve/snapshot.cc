@@ -67,7 +67,8 @@ void FrozenPatternSide::Fill(const PatternCompression& pc) {
     node_map = pc.node_map;
     member_offsets.assign(num_blocks + 1, 0);
     for (size_t c = 0; c < num_blocks; ++c) {
-      member_offsets[c + 1] = member_offsets[c] + pc.members[c].size();
+      member_offsets[c + 1] =
+          member_offsets[c] + static_cast<uint32_t>(pc.members[c].size());
     }
     member_flat.resize(member_offsets[num_blocks]);
     for (size_t c = 0; c < num_blocks; ++c) {
@@ -104,7 +105,7 @@ void FrozenPatternSide::Fill(const PatternCompression& pc) {
   member_offsets.assign(owned_blocks + 1, 0);
   for (size_t b = 0; b < num_blocks; ++b) {
     if (perm[b] != kInvalidNode) {
-      member_offsets[perm[b] + 1] = pc.members[b].size();
+      member_offsets[perm[b] + 1] = static_cast<uint32_t>(pc.members[b].size());
     }
   }
   for (size_t c = 0; c < owned_blocks; ++c) {
@@ -125,7 +126,7 @@ void FrozenPatternSide::FillIdentity(std::shared_ptr<const CsrGraph> g) {
   node_map.resize(n);
   std::iota(node_map.begin(), node_map.end(), NodeId{0});
   member_offsets.resize(n + 1);
-  std::iota(member_offsets.begin(), member_offsets.end(), uint64_t{0});
+  std::iota(member_offsets.begin(), member_offsets.end(), uint32_t{0});
   member_flat = node_map;
   cross_edges.clear();
   gr = std::move(g);
@@ -150,7 +151,7 @@ void FrozenPatternSide::FillIdentity(const Graph& g) {
     member_flat.push_back(v);
   }
   member_offsets.resize(member_flat.size() + 1);
-  std::iota(member_offsets.begin(), member_offsets.end(), uint64_t{0});
+  std::iota(member_offsets.begin(), member_offsets.end(), uint32_t{0});
   cross_edges.clear();
   auto frozen = std::make_shared<CsrGraph>();
   frozen->RefreezeMapped(g, node_map, member_flat.size(), &cross_edges);

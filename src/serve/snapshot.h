@@ -108,7 +108,8 @@ struct FrozenReachSide {
 ///    kInvalidNode,
 ///  * the member index, flattened CSR-style (offsets + one contiguous id
 ///    array — freezing it is two bulk copies instead of one small copy per
-///    block),
+///    block). The offsets are 32-bit: they index member_flat, which holds
+///    at most |V| 32-bit node ids, so they always fit,
 ///  * `cross_edges` — the quotient edges that pointed into ghost blocks,
 ///    as (compact owned block, ghost node id) pairs; the router's stitched
 ///    quotient resolves them to the ghost's home-shard block.
@@ -122,7 +123,7 @@ struct FrozenReachSide {
 struct FrozenPatternSide {
   std::shared_ptr<const CsrGraph> gr;
   std::vector<NodeId> node_map;
-  std::vector<uint64_t> member_offsets;  // num owned blocks + 1 entries
+  std::vector<uint32_t> member_offsets;  // num owned blocks + 1 entries
   std::vector<NodeId> member_flat;       // owned nodes, grouped by block
   std::vector<std::pair<NodeId, NodeId>> cross_edges;
   SideRepresentation representation = SideRepresentation::kQuotient;

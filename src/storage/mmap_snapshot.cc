@@ -343,6 +343,12 @@ Status MmapSnapshot::Wire(const ParsedArtifact& parsed, bool verify) {
   return Status::Ok();
 }
 
+const LabelIndex& MmapCsrGraph::label_index() const {
+  return label_index_.Get([this] {
+    return LabelIndex::Build(n_, [this](NodeId v) { return labels_[v]; });
+  });
+}
+
 MatchResult MmapSnapshot::Match(const PatternQuery& q) const {
   return ExpandMatchWith(
       member_offsets_.size() - 1, pattern_map_,
@@ -355,7 +361,7 @@ bool MmapSnapshot::BooleanMatch(const PatternQuery& q) const {
 }
 
 size_t MmapSnapshot::DecodedHeapBytes() const {
-  size_t bytes = 0;
+  size_t bytes = reach_gr_.LabelIndexBytes() + pattern_gr_.LabelIndexBytes();
   for (const std::vector<NodeId>& v : decoded_) {
     bytes += v.capacity() * sizeof(NodeId);
   }

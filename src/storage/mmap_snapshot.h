@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "graph/graph_view.h"
+#include "graph/label_index.h"
 #include "pattern/match.h"
 #include "pattern/pattern.h"
 #include "reach/queries.h"
@@ -58,7 +59,9 @@ namespace qpgc::storage {
 /// A CSR graph served in place from mapped artifact sections. Models
 /// GraphView and DenseInEdgeView (graph/graph_view.h); every batch algorithm
 /// and query evaluator runs on it unchanged. A view — valid only while the
-/// owning MmapSnapshot lives.
+/// owning MmapSnapshot lives. Its one heap state is the label index,
+/// built on the first Match exactly as CsrGraph's is; a copy starts without
+/// one.
 class QPGC_GSL_POINTER MmapCsrGraph {
  public:
   MmapCsrGraph() = default;
@@ -86,6 +89,13 @@ class QPGC_GSL_POINTER MmapCsrGraph {
   bool HasEdge(NodeId u, NodeId v) const { return ViewHasEdge(*this, u, v); }
   Label label(NodeId u) const { return labels_[u]; }
 
+  /// The node ids grouped by label (graph/label_index.h), built on the
+  /// first call and installed lock-free, as CsrGraph::label_index(). The
+  /// reference is valid while this graph — and so its MmapSnapshot — lives.
+  const LabelIndex& label_index() const QPGC_LIFETIME_BOUND;
+  /// Heap bytes of the label index; 0 until it is built.
+  size_t LabelIndexBytes() const { return label_index_.MemoryBytes(); }
+
   /// Every out-edge target, OutNeighbors(0) .. OutNeighbors(n - 1) back to
   /// back.
   std::span<const NodeId> OutEdgeTargets() const QPGC_LIFETIME_BOUND {
@@ -110,15 +120,17 @@ class QPGC_GSL_POINTER MmapCsrGraph {
   U32View labels_;
   size_t n_ = 0;
   size_t m_ = 0;
+  LabelIndexSlot label_index_;
 };
 
 static_assert(GraphView<MmapCsrGraph>);
 static_assert(DenseInEdgeView<MmapCsrGraph>);
+static_assert(LabelIndexedView<MmapCsrGraph>);
 
 /// One snapshot artifact, opened for serving off the mapping (see file
-/// comment for the cold-start and trust contracts). Read-only and
-/// internally immutable after Open: any number of threads may query
-/// concurrently, same as a pinned ServingSnapshot.
+/// comment for the cold-start and trust contracts). Read-only after Open
+/// but for the pattern graph's lazily installed label index: any number of
+/// threads may query concurrently, same as a pinned ServingSnapshot.
 class QPGC_GSL_OWNER MmapSnapshot {
  public:
   MmapSnapshot() = default;
@@ -206,8 +218,9 @@ class QPGC_GSL_OWNER MmapSnapshot {
   /// Bytes of the mapping (charged to page cache on demand, not resident
   /// up front).
   size_t MappedBytes() const { return file_.size(); }
-  /// Heap bytes materialized at Open (decoded kVarint sections); 0 for
-  /// raw-encoded artifacts — the bench's resident-cost axis.
+  /// Heap bytes materialized off the mapping: the sections decoded at Open
+  /// (kVarint adjacency; none for raw-encoded artifacts) plus the label
+  /// index once a Match has built it — the bench's resident-cost axis.
   size_t DecodedHeapBytes() const;
 
  private:

@@ -156,7 +156,8 @@ LoadedSnapshot CopyToHeap(const MmapSnapshot& mapped) {
   pattern->member_offsets.assign(blocks + 1, 0);
   for (NodeId c = 0; c < blocks; ++c) {
     pattern->member_offsets[c + 1] =
-        pattern->member_offsets[c] + mapped.pattern_block_members(c).size();
+        pattern->member_offsets[c] +
+        static_cast<uint32_t>(mapped.pattern_block_members(c).size());
   }
   pattern->member_flat.assign(mapped.pattern_members().begin(),
                               mapped.pattern_members().end());
@@ -329,7 +330,11 @@ Status SaveSnapshot(const ServingSnapshot& snap, const std::string& path,
                     pattern_gr.in_targets());
   writer.AddLabels(SectionKind::kPatternLabels, pattern_gr.labels());
   writer.AddRawU32(SectionKind::kPatternNodeMap, pattern->node_map);
-  writer.AddOffsets(SectionKind::kMemberOffsets, pattern->member_offsets);
+  // The heap side keeps 32-bit member offsets; the file's section is the
+  // 64-bit offsets array it always was (same values, same encoding).
+  writer.AddOffsets(SectionKind::kMemberOffsets,
+                    std::vector<uint64_t>(pattern->member_offsets.begin(),
+                                          pattern->member_offsets.end()));
   writer.AddRawU32(SectionKind::kMemberFlat, pattern->member_flat);
   std::vector<uint32_t> cross_flat;
   cross_flat.reserve(2 * pattern->cross_edges.size());

@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "gen/adversarial.h"
 #include "gen/uniform.h"
 #include "graph/csr.h"
 #include "graph/traversal.h"
+#include "serve/snapshot.h"
+#include "storage/mmap_snapshot.h"
+#include "storage/snapshot_io.h"
 #include "util/rng.h"
 
 namespace qpgc {
@@ -182,6 +187,30 @@ TEST(MatchTest, MissingLabelMeansNoMatch) {
   PatternQuery q;
   q.AddNode(42);
   EXPECT_FALSE(Match(g, q).matched);
+
+  // Frozen views take S(u) from their label index, where an absent label
+  // is an empty range: the candidate set is empty and nothing matches.
+  const auto frozen = std::make_shared<const CsrGraph>(g);
+  EXPECT_TRUE(match_detail::LabelCandidates(*frozen, q)[0].empty());
+  EXPECT_FALSE(Match(*frozen, q).matched);
+  EXPECT_FALSE(BooleanMatch(*frozen, q));
+
+  // The same on the mapped view of a saved snapshot of g.
+  auto reach = std::make_shared<FrozenReachSide>();
+  reach->FillIdentity(frozen);
+  auto pattern = std::make_shared<FrozenPatternSide>();
+  pattern->FillIdentity(frozen);
+  const ServingSnapshot snap(1, std::move(reach), std::move(pattern));
+  const std::string path =
+      ::testing::TempDir() + "qpgc_match_missing_label.snap";
+  ASSERT_TRUE(storage::SaveSnapshot(snap, path).ok());
+  Result<storage::MmapSnapshot> mapped = storage::MmapSnapshot::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().message();
+  const storage::MmapCsrGraph& gr = mapped.value().pattern_gr();
+  EXPECT_TRUE(match_detail::LabelCandidates(gr, q)[0].empty());
+  EXPECT_FALSE(Match(gr, q).matched);
+  EXPECT_FALSE(BooleanMatch(gr, q));
+  EXPECT_FALSE(mapped.value().Match(q).matched);
 }
 
 TEST(MatchTest, ResultSetsSorted) {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -28,6 +29,8 @@
 #include "serve/query_service.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_manager.h"
+#include "storage/mmap_snapshot.h"
+#include "storage/snapshot_io.h"
 #include "util/rng.h"
 
 namespace qpgc {
@@ -803,6 +806,75 @@ TEST(ServingStressTest, ConcurrentQueriesMatchOracleForPinnedVersion) {
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+// Every query of `patterns`, as Match and as BooleanMatch, on kThreads
+// threads released at once against `snap`; each answer must equal `want`
+// (Match on the Graph). Threads start at different patterns and alternate
+// which query kind comes first, so first calls of both kinds race.
+template <typename Snapshot>
+void RaceFirstMatches(const Snapshot& snap,
+                      const std::vector<PatternQuery>& patterns,
+                      const std::vector<MatchResult>& want) {
+  constexpr size_t kThreads = 4;
+  std::atomic<size_t> ready{0};
+  std::vector<std::vector<MatchResult>> matched(
+      kThreads, std::vector<MatchResult>(patterns.size()));
+  std::vector<std::vector<char>> boolean(kThreads,
+                                         std::vector<char>(patterns.size()));
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (size_t i = 0; i < patterns.size(); ++i) {
+        const size_t p = (i + t) % patterns.size();
+        if ((i + t) % 2 == 0) {
+          matched[t][p] = snap.Match(patterns[p]);
+          boolean[t][p] = snap.BooleanMatch(patterns[p]) ? 1 : 0;
+        } else {
+          boolean[t][p] = snap.BooleanMatch(patterns[p]) ? 1 : 0;
+          matched[t][p] = snap.Match(patterns[p]);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      EXPECT_EQ(matched[t][p], want[p]) << "thread " << t << " pattern " << p;
+      EXPECT_EQ(boolean[t][p] != 0, want[p].matched)
+          << "thread " << t << " pattern " << p;
+    }
+  }
+}
+
+// The label index Match initializes candidates from is built by the first
+// Match on a graph and installed by one compare-exchange. Four threads race
+// those first calls on a freshly published snapshot, then on the mapped
+// view of its save; under TSan this is what checks the install.
+TEST(ServingStressTest, FirstMatchesRaceToBuildTheLabelIndex) {
+  const Graph g = WithCollapsingCycle(GenerateUniform(200, 460, 4, 41), 20, 2);
+  const std::vector<PatternQuery> patterns = TestPatterns(g, 6, 71);
+  std::vector<MatchResult> want;
+  want.reserve(patterns.size());
+  for (const PatternQuery& q : patterns) want.push_back(Match(g, q));
+
+  SnapshotManager mgr(g);
+  const auto snap = mgr.Acquire();
+  const size_t unindexed = snap->MemoryBytes();
+  RaceFirstMatches(*snap, patterns, want);
+  EXPECT_GT(snap->MemoryBytes(), unindexed);  // no index before the race
+
+  const std::string path =
+      ::testing::TempDir() + "qpgc_serving_first_matches.snap";
+  ASSERT_TRUE(storage::SaveSnapshot(*snap, path).ok());
+  Result<storage::MmapSnapshot> mapped = storage::MmapSnapshot::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().message();
+  EXPECT_EQ(mapped.value().DecodedHeapBytes(), 0u);
+  RaceFirstMatches(mapped.value(), patterns, want);
+  EXPECT_GT(mapped.value().DecodedHeapBytes(), 0u);
 }
 
 TEST(ServingStressTest, VersionsAreMonotoneUnderAutoPublish) {
