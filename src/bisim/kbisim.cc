@@ -10,12 +10,6 @@ Partition KBisimulationBackward(const Graph& g, size_t k) {
   return KBisimulationBackward<Graph>(g, k);
 }
 
-Partition KBisimulationBackwardCopying(const Graph& g, size_t k) {
-  Graph reversed = g;
-  reversed.Reverse();
-  return KBisimulation(reversed, k);
-}
-
 Graph QuotientGraph(const Graph& g, const Partition& p) {
   return QuotientGraph<Graph>(g, p);
 }

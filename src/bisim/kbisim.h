@@ -13,8 +13,8 @@
 // The backward orientation is computed in-edge-driven: forward refinement
 // over a ReversedView of the input, whose OutNeighbors *are* the view's
 // InNeighbors — no copy, no whole-graph Reverse() per call. The historical
-// copy+Reverse implementation survives as KBisimulationBackwardCopying, a
-// test oracle only.
+// copy+Reverse implementation survives as a test oracle in
+// tests/graph_view_test.cc.
 //
 // The paper uses A(k) as a *negative* baseline: Section 4.1's Fig. 6 shows
 // a graph whose A(1) index graph returns every B node for the pattern
@@ -57,11 +57,6 @@ Graph QuotientGraph(const G& g, const Partition& p) {
 // Non-template Graph overloads (compiled once in kbisim.cc).
 Partition KBisimulationBackward(const Graph& g, size_t k);
 Graph QuotientGraph(const Graph& g, const Partition& p);
-
-/// Historical backward implementation: copies the graph and calls
-/// Reverse() before running forward refinement. Kept strictly as a test
-/// oracle for the in-edge-driven variant; do not use on hot paths.
-Partition KBisimulationBackwardCopying(const Graph& g, size_t k);
 
 /// The A(k)-index graph: quotient of g by *backward* k-bisimulation, keeping
 /// labels. For comparison only — not query preserving for graph patterns.

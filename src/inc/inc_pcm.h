@@ -57,17 +57,6 @@ struct IncPcmStats {
   /// Size of the dirty cone this call touched, in hybrid-graph units (see
   /// IncRcmStats::DirtyConeSize).
   size_t DirtyConeSize() const { return hybrid_vertices + hybrid_edges; }
-
-  /// Folds another call's counters into this one (aggregate-since-publish
-  /// bookkeeping in serve/snapshot_manager.h).
-  void Accumulate(const IncPcmStats& o) {
-    kept_updates += o.kept_updates;
-    reduced_updates += o.reduced_updates;
-    dissolved_blocks += o.dissolved_blocks;
-    dissolved_nodes += o.dissolved_nodes;
-    hybrid_vertices += o.hybrid_vertices;
-    hybrid_edges += o.hybrid_edges;
-  }
 };
 
 /// Maintains pc (compression of the pre-update graph) so that afterwards

@@ -81,22 +81,8 @@ struct IncRcmStats {
   size_t hybrid_edges = 0;
 
   /// Size of the dirty cone this call touched, in hybrid-graph units (on
-  /// the served graphs most of |G|; ROADMAP.md, item 2). The serving layer
-  /// accumulates this across the batches applied since the last publish to
-  /// decide when a snapshot has drifted far enough to be worth re-freezing.
+  /// the served graphs most of |G|; ROADMAP.md, item 2).
   size_t DirtyConeSize() const { return hybrid_vertices + hybrid_edges; }
-
-  /// Folds another call's counters into this one (aggregate-since-publish
-  /// bookkeeping in serve/snapshot_manager.h).
-  void Accumulate(const IncRcmStats& o) {
-    kept_updates += o.kept_updates;
-    reduced_updates += o.reduced_updates;
-    dissolved_classes += o.dissolved_classes;
-    aggregated_classes += o.aggregated_classes;
-    dissolved_nodes += o.dissolved_nodes;
-    hybrid_vertices += o.hybrid_vertices;
-    hybrid_edges += o.hybrid_edges;
-  }
 };
 
 /// Maintains rc (the compression of the pre-update graph) so that afterwards

@@ -2,7 +2,6 @@
 
 #include "serve/answer_cache.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "util/hash.h"
@@ -12,12 +11,6 @@ namespace {
 
 uint64_t PairHash64(uint64_t cu, uint64_t cv) {
   return Mix64(HashCombine(Mix64(cu), cv));
-}
-
-size_t RoundUpPow2(size_t x) {
-  size_t p = 1;
-  while (p < x) p <<= 1;
-  return p;
 }
 
 void AppendU32(std::string& out, uint32_t v) {
@@ -56,17 +49,11 @@ std::string CanonicalPatternKey(const PatternQuery& q) {
 
 // --- VersionAnswerCache -----------------------------------------------------
 
-VersionAnswerCache::VersionAnswerCache(uint64_t version_id,
-                                       const AnswerCacheOptions& options)
-    : version_id_(version_id),
-      options_(options),
-      slots_per_shard_(std::max(
-          kProbeWindow,
-          RoundUpPow2(std::max<size_t>(1, options.reach_capacity) /
-                      kNumShards))) {
+VersionAnswerCache::VersionAnswerCache(uint64_t version_id)
+    : version_id_(version_id) {
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mu);
-    shard.slots.resize(slots_per_shard_);
+    shard.slots.resize(kSlotsPerShard);
   }
 }
 
@@ -86,7 +73,7 @@ VersionAnswerCache::ReachHit VersionAnswerCache::LookupReach(uint64_t cu,
   // refreshes the entry's stamp (clock-style recency).
   Shard& shard = PairShard(cu, cv);
   MutexLock lock(shard.mu);
-  const size_t mask = slots_per_shard_ - 1;
+  const size_t mask = kSlotsPerShard - 1;
   const size_t base = PairHash64(cu, cv) & mask;
   for (size_t i = 0; i < kProbeWindow; ++i) {
     ReachEntry& e = shard.slots[(base + i) & mask];
@@ -103,7 +90,7 @@ VersionAnswerCache::ReachHit VersionAnswerCache::LookupReach(uint64_t cu,
 void VersionAnswerCache::InsertReach(uint64_t cu, uint64_t cv, bool answer) {
   Shard& shard = PairShard(cu, cv);
   MutexLock lock(shard.mu);
-  const size_t mask = slots_per_shard_ - 1;
+  const size_t mask = kSlotsPerShard - 1;
   const size_t base = PairHash64(cu, cv) & mask;
   ReachEntry* victim = nullptr;
   for (size_t i = 0; i < kProbeWindow; ++i) {
@@ -144,8 +131,7 @@ void VersionAnswerCache::InsertMatchOutcome(const std::string& key,
   MutexLock lock(shard.mu);
   ++shard.stats.match_misses;
   if (matched) return;  // negative cache: only misses are remembered
-  const size_t cap = std::max<size_t>(1, options_.match_capacity / kNumShards);
-  if (shard.negative.size() >= cap &&
+  if (shard.negative.size() >= kMatchCapacity / kNumShards &&
       shard.negative.find(key) == shard.negative.end()) {
     // Evict the least-recently-touched key (caps are small; linear scan).
     auto oldest = shard.negative.begin();
@@ -171,19 +157,16 @@ CacheStats VersionAnswerCache::Stats() const {
 
 // --- AnswerCache ------------------------------------------------------------
 
-AnswerCache::AnswerCache(AnswerCacheOptions options) : options_(options) {}
-
 std::shared_ptr<VersionAnswerCache> AnswerCache::ForVersion(
     uint64_t version_id) {
   MutexLock lock(mu_);
   for (const auto& cache : live_) {
     if (cache->version_id() == version_id) return cache;
   }
-  auto cache = std::make_shared<VersionAnswerCache>(version_id, options_);
+  auto cache = std::make_shared<VersionAnswerCache>(version_id);
   live_.push_back(cache);
-  const size_t max_live = std::max<size_t>(1, options_.max_versions);
-  while (live_.size() > max_live) {
-    // Version ids are allocated monotonically; the smallest is the oldest.
+  if (live_.size() > kMaxVersions) {
+    // Ids are allocated monotonically; the smallest is the oldest.
     size_t oldest = 0;
     for (size_t i = 1; i < live_.size(); ++i) {
       if (live_[i]->version_id() < live_[oldest]->version_id()) oldest = i;
@@ -199,90 +182,6 @@ CacheStats AnswerCache::Stats() const {
   CacheStats total = retired_;
   for (const auto& cache : live_) total += cache->Stats();
   return total;
-}
-
-// --- Cached read surfaces ---------------------------------------------------
-
-bool CachedSnapshot::Reach(NodeId u, NodeId v, PathMode mode,
-                           ReachAlgorithm algo) const {
-  // Same range check and abort as the uncached ServingSnapshot::Reach, ahead
-  // of both the reflexive shortcut and the node-map lookup.
-  const std::vector<NodeId>& map = snap_->reach_map();
-  QPGC_CHECK(u < map.size() && v < map.size());
-  if (mode == PathMode::kReflexive && u == v) return true;
-  // Canonical fact: non-empty-path reachability between reach-quotient
-  // blocks. Every remaining (u, v, mode) combination reduces to it —
-  // including the kNonEmpty diagonal, which asks for a cycle through u's
-  // block — so one cached answer covers all equivalent probes.
-  const uint64_t cu = map[u];
-  const uint64_t cv = map[v];
-  const VersionAnswerCache::ReachHit hit = cache_->LookupReach(cu, cv);
-  if (hit != VersionAnswerCache::ReachHit::kMiss) {
-    return hit == VersionAnswerCache::ReachHit::kTrue;
-  }
-  const bool answer = snap_->Reach(u, v, PathMode::kNonEmpty, algo);
-  cache_->InsertReach(cu, cv, answer);
-  return answer;
-}
-
-bool CachedSnapshot::BooleanMatch(const PatternQuery& q) const {
-  const std::string key = CanonicalPatternKey(q);
-  if (cache_->LookupNegativeMatch(key)) return false;
-  const bool matched = snap_->BooleanMatch(q);
-  cache_->InsertMatchOutcome(key, matched);
-  return matched;
-}
-
-std::shared_ptr<const CachedSnapshot> CachedQueryService::Pin() const {
-  const auto snap = manager_.Acquire();
-  MutexLock lock(pin_mu_);
-  if (pin_ == nullptr || pin_->version() != snap->version()) {
-    pin_ = std::make_shared<const CachedSnapshot>(
-        snap, cache_.ForVersion(snap->version()));
-  }
-  return pin_;
-}
-
-bool CachedPinnedShards::Reach(NodeId u, NodeId v, PathMode mode) const {
-  // Same range check and abort as the uncached PinnedShards::Reach.
-  const size_t n = pins_->original_num_nodes();
-  QPGC_CHECK(u < n && v < n);
-  if (mode == PathMode::kReflexive && u == v) return true;
-  // Sharded canonical keys are the original node ids (see header): a node's
-  // global reach identity depends on its block in EVERY shard that has
-  // in-edges to it, not just its home shard, so block-level transfer is
-  // reserved for the unsharded path. The cached fact is global
-  // non-empty-path reachability.
-  const uint64_t cu = u;
-  const uint64_t cv = v;
-  const VersionAnswerCache::ReachHit hit = cache_->LookupReach(cu, cv);
-  if (hit != VersionAnswerCache::ReachHit::kMiss) {
-    return hit == VersionAnswerCache::ReachHit::kTrue;
-  }
-  const bool answer = pins_->Reach(u, v, PathMode::kNonEmpty);
-  cache_->InsertReach(cu, cv, answer);
-  return answer;
-}
-
-bool CachedPinnedShards::BooleanMatch(const PatternQuery& q) const {
-  const std::string key = CanonicalPatternKey(q);
-  if (cache_->LookupNegativeMatch(key)) return false;
-  const bool matched = pins_->BooleanMatch(q);
-  cache_->InsertMatchOutcome(key, matched);
-  return matched;
-}
-
-std::shared_ptr<const CachedPinnedShards> CachedShardedQueryService::Pin()
-    const {
-  const auto pins = inner_.Pin();
-  MutexLock lock(pin_mu_);
-  // PinnedShards wrappers are freshly allocated per version vector (never
-  // pooled), so pointer identity is version-vector identity.
-  if (pin_ == nullptr || &pin_->pins() != pins.get()) {
-    pin_ = std::make_shared<const CachedPinnedShards>(
-        pins, cache_.ForVersion(next_cache_id_++));
-  }
-  return pin_;
 }
 
 }  // namespace qpgc

@@ -1,9 +1,9 @@
 // Copyright 2026 The QPGC Authors.
 //
-// Answer-caching serving tier: a per-snapshot-version memo cache in front of
-// QueryService / ShardedQueryService, so repeated traffic is answered by
-// remembering work instead of redoing it. Two lookup tiers run before any
-// quotient walk:
+// Answer-caching serving tier: one decorator, CachedService<Service>, puts
+// a per-pin memo cache in front of QueryService or ShardedQueryService, so
+// repeated traffic is answered by remembering work instead of redoing it.
+// Two lookup tiers run before any quotient walk:
 //
 //  1. *Exact reach*: a bounded open-addressing table keyed on the canonical
 //     reach pair. Unsharded serving canonicalizes endpoints to reach-quotient
@@ -18,12 +18,12 @@
 //     PoisonCache shape).
 //
 // Invalidation is the snapshot lifetime model itself: every cache attaches
-// to one immutable artifact version, a publish starts a cold cache for the
-// new version, and pinned readers keep their warm cache alive exactly as
-// long as their pin. Everything here follows the statically enforced
-// concurrency/lifetime layers: annotated qpgc::Mutex per cache shard (no
-// raw atomics), pins held by value, bounded memory with clock-style
-// overwrite eviction. Counters come back through CacheStats.
+// to one pin object (an immutable snapshot version, or a version vector), a
+// publish starts a cold cache for the new pin, and pinned readers keep their
+// warm cache alive exactly as long as their pin. Everything here follows the
+// statically enforced concurrency/lifetime layers: annotated qpgc::Mutex per
+// cache shard (no raw atomics), pins held by value, bounded memory with
+// clock-style overwrite eviction. Counters come back through CacheStats.
 
 #ifndef QPGC_SERVE_ANSWER_CACHE_H_
 #define QPGC_SERVE_ANSWER_CACHE_H_
@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -43,19 +44,6 @@
 #include "util/thread_annotations.h"
 
 namespace qpgc {
-
-/// Tuning knobs for one AnswerCache (all sizes are hard bounds; the cache
-/// never allocates past them — overwrite eviction, not growth).
-struct AnswerCacheOptions {
-  /// Exact reach table capacity, in entries (rounded up to a power of two).
-  size_t reach_capacity = 1 << 16;
-  /// Negative match cache capacity, in entries.
-  size_t match_capacity = 1 << 10;
-  /// How many snapshot versions keep live caches at once; publishing past
-  /// this retires the oldest (pinned readers holding its handle keep using
-  /// it until they unpin — the stats snapshot freezes at retirement).
-  size_t max_versions = 4;
-};
 
 /// Counter snapshot for one cache (or one aggregation of caches).
 struct CacheStats {
@@ -99,7 +87,12 @@ class VersionAnswerCache {
     kSubsumedFalse,  // waits for that change
   };
 
-  VersionAnswerCache(uint64_t version_id, const AnswerCacheOptions& options);
+  /// Hard bounds, in entries: the exact reach table and the negative match
+  /// cache never allocate past them (overwrite eviction, not growth).
+  static constexpr size_t kReachCapacity = size_t{1} << 16;
+  static constexpr size_t kMatchCapacity = size_t{1} << 10;
+
+  explicit VersionAnswerCache(uint64_t version_id);
 
   VersionAnswerCache(const VersionAnswerCache&) = delete;
   VersionAnswerCache& operator=(const VersionAnswerCache&) = delete;
@@ -124,6 +117,7 @@ class VersionAnswerCache {
 
  private:
   static constexpr size_t kNumShards = 16;
+  static constexpr size_t kSlotsPerShard = kReachCapacity / kNumShards;
   /// Linear-probe window of the exact table; a full window overwrites the
   /// stalest entry (clock-style eviction) instead of rehashing.
   static constexpr size_t kProbeWindow = 8;
@@ -147,16 +141,17 @@ class VersionAnswerCache {
   Shard& KeyShard(const std::string& key);
 
   const uint64_t version_id_;
-  const AnswerCacheOptions options_;
-  const size_t slots_per_shard_;  // power of two
   Shard shards_[kNumShards];
 };
 
 /// The cache bank a cached service owns: per-version caches created on
-/// demand, at most options.max_versions live at once. Thread-safe.
+/// demand, at most kMaxVersions live at once. Thread-safe.
 class AnswerCache {
  public:
-  explicit AnswerCache(AnswerCacheOptions options = {});
+  /// Creating a cache past this many live ones retires the oldest. Pinned
+  /// readers holding its handle keep using it until they unpin; its counters
+  /// freeze into Stats() at retirement.
+  static constexpr size_t kMaxVersions = 4;
 
   /// The cache attached to `version_id`, creating a cold one on first use
   /// (and retiring the oldest live version past the bound).
@@ -167,112 +162,102 @@ class AnswerCache {
   CacheStats Stats() const;
 
  private:
-  const AnswerCacheOptions options_;
   mutable Mutex mu_;
   std::vector<std::shared_ptr<VersionAnswerCache>> live_ QPGC_GUARDED_BY(mu_);
   CacheStats retired_ QPGC_GUARDED_BY(mu_);
 };
 
-/// A pinned ServingSnapshot plus its version's cache, with the snapshot's
-/// query surface (what CachedQueryService::Pin() returns — duck-compatible
-/// with RunReaderLoad). Owns shared handles; copy/share freely.
-class CachedSnapshot {
+/// The canonical reach key of node u under a pinned backend, the one
+/// decision the two backends make differently. Unsharded: u's
+/// reach-quotient block, so one entry serves every pair of nodes in the
+/// same blocks. Routed: u itself, because a node's global reach class is
+/// not its home-shard block (see file comment).
+inline uint64_t ReachKey(const ServingSnapshot& snap, NodeId u) {
+  return snap.reach_map()[u];
+}
+inline uint64_t ReachKey(const PinnedShards& /*pins*/, NodeId u) { return u; }
+
+/// A pinned backend (a ServingSnapshot or a PinnedShards) plus its cache,
+/// with the backend's query surface (what CachedService::Pin() returns —
+/// duck-compatible with RunReaderLoad). Owns shared handles; share freely.
+template <typename Pinned>
+class CachedPin {
  public:
-  CachedSnapshot(std::shared_ptr<const ServingSnapshot> snap,
-                 std::shared_ptr<VersionAnswerCache> cache)
-      : snap_(std::move(snap)), cache_(std::move(cache)) {}
+  CachedPin(std::shared_ptr<const Pinned> pinned,
+            std::shared_ptr<VersionAnswerCache> cache)
+      : pinned_(std::move(pinned)), cache_(std::move(cache)) {}
 
-  uint64_t version() const { return snap_->version(); }
-  size_t original_num_nodes() const { return snap_->original_num_nodes(); }
+  size_t original_num_nodes() const { return pinned_->original_num_nodes(); }
 
-  /// QR(u, v) through the exact tier; canonical key = reach-quotient block
-  /// pair under non-empty-path semantics (the reflexive diagonal never
-  /// reaches the cache).
-  bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive,
-             ReachAlgorithm algo = ReachAlgorithm::kBfs) const;
+  /// QR(u, v) through the exact tier. The cached fact is non-empty-path
+  /// reachability between the endpoints' reach keys: every (u, v, mode) but
+  /// the reflexive diagonal reduces to it, the kNonEmpty diagonal (a cycle
+  /// through u) included, so one entry covers all equivalent probes.
+  bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive) const {
+    // Same range check and abort as the uncached Reach, ahead of both the
+    // reflexive shortcut and the key lookup.
+    const size_t n = pinned_->original_num_nodes();
+    QPGC_CHECK(u < n && v < n);
+    if (mode == PathMode::kReflexive && u == v) return true;
+    const uint64_t cu = ReachKey(*pinned_, u);
+    const uint64_t cv = ReachKey(*pinned_, v);
+    const VersionAnswerCache::ReachHit hit = cache_->LookupReach(cu, cv);
+    if (hit != VersionAnswerCache::ReachHit::kMiss) {
+      return hit == VersionAnswerCache::ReachHit::kTrue;
+    }
+    const bool answer = pinned_->Reach(u, v, PathMode::kNonEmpty);
+    cache_->InsertReach(cu, cv, answer);
+    return answer;
+  }
 
   /// Full matches are not memoized (answer sets are large); pass-through.
-  MatchResult Match(const PatternQuery& q) const { return snap_->Match(q); }
+  MatchResult Match(const PatternQuery& q) const { return pinned_->Match(q); }
 
   /// BooleanMatch through the negative cache.
-  bool BooleanMatch(const PatternQuery& q) const;
-
-  const ServingSnapshot& snapshot() const { return *snap_; }
-
- private:
-  std::shared_ptr<const ServingSnapshot> snap_;
-  std::shared_ptr<VersionAnswerCache> cache_;
-};
-
-/// Caching facade over a SnapshotManager: QueryService's surface plus
-/// cache_stats(). Publishes cold-start naturally — Pin() attaches the cache
-/// keyed by the pinned snapshot's version.
-class CachedQueryService {
- public:
-  explicit CachedQueryService(const SnapshotManager& manager,
-                              AnswerCacheOptions options = {})
-      : manager_(manager), cache_(options) {}
-
-  /// Pins the current snapshot together with its version's cache.
-  std::shared_ptr<const CachedSnapshot> Pin() const;
-
-  bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive,
-             ReachAlgorithm algo = ReachAlgorithm::kBfs) const {
-    return Pin()->Reach(u, v, mode, algo);
-  }
-  MatchResult Match(const PatternQuery& q) const { return Pin()->Match(q); }
   bool BooleanMatch(const PatternQuery& q) const {
-    return Pin()->BooleanMatch(q);
+    const std::string key = CanonicalPatternKey(q);
+    if (cache_->LookupNegativeMatch(key)) return false;
+    const bool matched = pinned_->BooleanMatch(q);
+    cache_->InsertMatchOutcome(key, matched);
+    return matched;
   }
 
-  CacheStats cache_stats() const { return cache_.Stats(); }
+  /// The pinned backend itself.
+  const Pinned& snapshot() const { return *pinned_; }
 
  private:
-  const SnapshotManager& manager_;
-  mutable AnswerCache cache_;
-  // Guards only the cached pin wrapper (one allocation per version, not per
-  // Pin call); queries run lock-free on the pinned snapshot.
-  mutable Mutex pin_mu_;
-  mutable std::shared_ptr<const CachedSnapshot> pin_ QPGC_GUARDED_BY(pin_mu_);
-};
-
-/// A pinned version vector plus its cache, with the PinnedShards query
-/// surface. Canonical reach keys are original node ids (see file comment).
-class CachedPinnedShards {
- public:
-  CachedPinnedShards(std::shared_ptr<const PinnedShards> pins,
-                     std::shared_ptr<VersionAnswerCache> cache)
-      : pins_(std::move(pins)), cache_(std::move(cache)) {}
-
-  size_t original_num_nodes() const { return pins_->original_num_nodes(); }
-
-  /// Global QR(u, v) through the exact tier.
-  bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive) const;
-
-  MatchResult Match(const PatternQuery& q) const { return pins_->Match(q); }
-
-  /// Global BooleanMatch through the negative cache.
-  bool BooleanMatch(const PatternQuery& q) const;
-
-  const PinnedShards& pins() const { return *pins_; }
-
- private:
-  std::shared_ptr<const PinnedShards> pins_;
+  std::shared_ptr<const Pinned> pinned_;
   std::shared_ptr<VersionAnswerCache> cache_;
 };
 
-/// Caching facade over a ShardedSnapshotManager. Each distinct pinned
-/// version vector gets a fresh cache id (version vectors are not totally
-/// ordered, so ids are allocated per distinct pin — aliasing two vectors to
-/// one cache would be unsound; the worst case is a cold cache).
-class CachedShardedQueryService {
+/// Caching decorator over an uncached service (QueryService or
+/// ShardedQueryService): its Pin() / Reach / Match / BooleanMatch surface
+/// plus cache_stats(). Each distinct pin object the service hands out gets a
+/// cache of its own. A SnapshotManager hands out one snapshot per version,
+/// and a ShardedQueryService one PinnedShards per version vector (vectors
+/// are not totally ordered, so aliasing two to one cache would be unsound);
+/// the worst case is a cold cache.
+template <typename Service>
+class CachedService {
  public:
-  explicit CachedShardedQueryService(const ShardedSnapshotManager& manager,
-                                     AnswerCacheOptions options = {})
-      : inner_(manager), cache_(options) {}
+  using Pinned = std::remove_cvref_t<decltype(*std::declval<Service>().Pin())>;
 
-  /// Pins the current version vector together with its cache.
-  std::shared_ptr<const CachedPinnedShards> Pin() const;
+  /// `manager` is what the wrapped service is built from (a SnapshotManager
+  /// or a ShardedSnapshotManager); it must outlive this service.
+  template <typename Manager>
+  explicit CachedService(const Manager& manager) : inner_(manager) {}
+
+  /// Pins the current snapshot or version vector together with its cache.
+  std::shared_ptr<const CachedPin<Pinned>> Pin() const {
+    auto pinned = inner_.Pin();
+    MutexLock lock(pin_mu_);
+    // pin_ holds its backend alive, so an equal address is the same pin.
+    if (pin_ == nullptr || &pin_->snapshot() != pinned.get()) {
+      pin_ = std::make_shared<const CachedPin<Pinned>>(
+          std::move(pinned), cache_.ForVersion(next_cache_id_++));
+    }
+    return pin_;
+  }
 
   bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive) const {
     return Pin()->Reach(u, v, mode);
@@ -285,14 +270,18 @@ class CachedShardedQueryService {
   CacheStats cache_stats() const { return cache_.Stats(); }
 
  private:
-  ShardedQueryService inner_;
+  Service inner_;
   mutable AnswerCache cache_;
-  // Guards the cached pin wrapper and the cache-id allocator.
+  // Guards the cached pin wrapper (one allocation per pin object, not per
+  // Pin call) and the cache-id allocator; queries run outside it.
   mutable Mutex pin_mu_;
-  mutable std::shared_ptr<const CachedPinnedShards> pin_
+  mutable std::shared_ptr<const CachedPin<Pinned>> pin_
       QPGC_GUARDED_BY(pin_mu_);
   mutable uint64_t next_cache_id_ QPGC_GUARDED_BY(pin_mu_) = 1;
 };
+
+using CachedQueryService = CachedService<QueryService>;
+using CachedShardedQueryService = CachedService<ShardedQueryService>;
 
 }  // namespace qpgc
 

@@ -4,9 +4,8 @@
 
 namespace qpgc {
 
-bool QueryService::Reach(NodeId u, NodeId v, PathMode mode,
-                         ReachAlgorithm algo) const {
-  return Pin()->Reach(u, v, mode, algo);
+bool QueryService::Reach(NodeId u, NodeId v, PathMode mode) const {
+  return Pin()->Reach(u, v, mode);
 }
 
 MatchResult QueryService::Match(const PatternQuery& q) const {

@@ -37,8 +37,7 @@ class QueryService {
   }
 
   /// QR(u, v) against the current snapshot.
-  bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive,
-             ReachAlgorithm algo = ReachAlgorithm::kBfs) const;
+  bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive) const;
 
   /// Maximum match of q against the current snapshot, expanded via P.
   MatchResult Match(const PatternQuery& q) const;

@@ -204,8 +204,7 @@ const std::vector<NodeId>& ServingSnapshot::boundary_exits() const {
   return boundary_exits_ == nullptr ? kEmpty : *boundary_exits_;
 }
 
-bool ServingSnapshot::Reach(NodeId u, NodeId v, PathMode mode,
-                            ReachAlgorithm algo) const {
+bool ServingSnapshot::Reach(NodeId u, NodeId v, PathMode mode) const {
   const std::vector<NodeId>& map = reach_->node_map;
   QPGC_CHECK(u < map.size() && v < map.size());
   if (mode == PathMode::kReflexive && u == v) return true;
@@ -213,7 +212,7 @@ bool ServingSnapshot::Reach(NodeId u, NodeId v, PathMode mode,
   // classes are connected iff any pair of their members is; equal classes
   // answer the diagonal through their self-loop (reach/queries.cc keeps the
   // same reduction for the unfrozen artifact).
-  return EvalReach(*reach_->gr, map[u], map[v], PathMode::kNonEmpty, algo);
+  return BfsReaches(*reach_->gr, map[u], map[v], PathMode::kNonEmpty);
 }
 
 namespace {

@@ -15,8 +15,8 @@
 // every version keeps pointing at the same frozen pattern side (and vice
 // versa). Sharing is transparent to readers and is what makes per-artifact
 // publish cost track which dirty cone actually moved
-// (serve/snapshot_manager.h decides, from the accumulated per-side
-// incremental stats).
+// (serve/snapshot_manager.h decides, from a per-side dirty flag that an
+// Apply sets when it moves that side).
 //
 // A side is either a quotient or G itself: the trivial <R, F, P> with
 // R = id (SideRepresentation::kIdentity), which the manager serves where the
@@ -175,9 +175,8 @@ class ServingSnapshot {
   size_t original_num_nodes() const { return reach_->node_map.size(); }
 
   /// QR(u, v) on the original node ids: rewrite through the reach node map,
-  /// then run the stock algorithm on the frozen quotient (Theorem 2).
-  bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive,
-             ReachAlgorithm algo = ReachAlgorithm::kBfs) const;
+  /// then BFS on the frozen quotient (Theorem 2).
+  bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive) const;
 
   /// One router wave against this shard: resolves, for every entry in
   /// `sources`, whether `target` is reachable (return value) and which of

@@ -208,8 +208,6 @@ ApplyStats SnapshotManager::Apply(
       pattern_dirty_ = true;
     }
     DropArtifactsThatDoNotPay();
-    pending_rcm_.Accumulate(stats.rcm);
-    pending_pcm_.Accumulate(stats.pcm);
     pending_updates_ += effective.size();
   }
   stats.reach_representation = reach_representation();
@@ -331,8 +329,6 @@ PublishStats SnapshotManager::Publish(FreezeMode mode) {
   stats.swap_secs = swap_timer.ElapsedSeconds();
 
   pending_updates_ = 0;
-  pending_rcm_ = {};
-  pending_pcm_ = {};
   reach_dirty_ = false;
   pattern_dirty_ = false;
   staleness_timer_.Restart();

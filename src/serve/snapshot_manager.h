@@ -45,8 +45,8 @@
 //    snapshot — constructs the immutable snapshot, and swaps it in with one
 //    O(1) atomic pointer store. Swap latency is independent of graph size
 //    by construction.
-//  * Per-artifact freezing: an artifact whose accumulated incremental stats
-//    show no kept updates since the last publish is *shared* from the
+//  * Per-artifact freezing: an artifact that no Apply moved since the last
+//    publish (its per-side dirty flag is clear) is *shared* from the
 //    previous snapshot instead of refrozen (the new version points at the
 //    same immutable FrozenReachSide / FrozenPatternSide). Reach-only or
 //    pattern-only update streams therefore pay publish cost for the side
@@ -61,9 +61,7 @@
 // Publish policies decouple *when* to publish from the update stream:
 // manual (caller decides), every-N-updates (amortize freeze cost over N
 // effective updates), and staleness-bounded (cap how long readers can lag
-// behind the source of truth). The accumulated dirty-cone stats of the
-// incremental layer since the last publish are exposed for callers that
-// want to build smarter policies on top.
+// behind the source of truth).
 //
 // The locking discipline (what each qpgc::Mutex guards, the one sanctioned
 // atomic<shared_ptr> slot, the TSan fallback) is documented — and statically
@@ -183,7 +181,7 @@ struct PublishStats {
   /// with; O(1) regardless of graph size).
   double swap_secs = 0.0;
   /// Which sides were actually refrozen (a side is shared from the previous
-  /// snapshot when its accumulated incremental stats kept no updates and
+  /// snapshot when no Apply moved it since the last publish and
   /// FreezeMode::kFull was not requested).
   bool froze_reach = false;
   bool froze_pattern = false;
@@ -287,14 +285,6 @@ class SnapshotManager {
   size_t pending_updates() const { return pending_updates_; }
   /// Seconds since the last publish (the published snapshot's age).
   double staleness_secs() const { return staleness_timer_.ElapsedSeconds(); }
-  /// Accumulated dirty-cone stats since the last publish (for policies, and
-  /// what Publish() keys the per-side freeze skip on).
-  const IncRcmStats& pending_rcm_stats() const QPGC_LIFETIME_BOUND {
-    return pending_rcm_;
-  }
-  const IncPcmStats& pending_pcm_stats() const QPGC_LIFETIME_BOUND {
-    return pending_pcm_;
-  }
 
   // --- Read side (any thread) -----------------------------------------------
 
@@ -380,8 +370,6 @@ class SnapshotManager {
 
   uint64_t version_ = 0;
   size_t pending_updates_ = 0;
-  IncRcmStats pending_rcm_;
-  IncPcmStats pending_pcm_;
   Timer staleness_timer_;
 
   Slot current_;

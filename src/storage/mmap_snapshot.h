@@ -4,10 +4,11 @@
 // directly off a memory-mapped snapshot artifact (storage/format.h) — no
 // deserialization, no heap copy of the quotients. MmapCsrGraph models the
 // GraphView concept over the mapped sections, so the exact same templated
-// algorithms that serve an in-RAM ServingSnapshot (reach/queries.h EvalReach,
-// pattern/match.h Match/BooleanMatch, core/pattern_scheme.h ExpandMatchWith)
-// run unchanged against the mapping; answers are differentially tested
-// byte-equal to the in-RAM path (tests/storage_roundtrip_test.cc).
+// algorithms that serve an in-RAM ServingSnapshot (graph/traversal.h
+// BfsReaches, pattern/match.h Match/BooleanMatch, core/pattern_scheme.h
+// ExpandMatchWith) run unchanged against the mapping; answers are
+// differentially tested byte-equal to the in-RAM path
+// (tests/storage_roundtrip_test.cc).
 //
 // Cold-start economics: Open() reads only the header and section table
 // (plus the optional verification pass); quotient pages fault in lazily as
@@ -152,13 +153,12 @@ class QPGC_GSL_OWNER MmapSnapshot {
   // --- Queries (mirror ServingSnapshot's semantics exactly) -----------------
 
   /// QR(u, v) on original node ids: rewrite through the mapped reach node
-  /// map, stock algorithm on the mapped quotient (Theorem 2).
-  bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive,
-             ReachAlgorithm algo = ReachAlgorithm::kBfs) const {
+  /// map, BFS on the mapped quotient (Theorem 2).
+  bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive) const {
     QPGC_CHECK(u < reach_map_.size() && v < reach_map_.size());
     if (mode == PathMode::kReflexive && u == v) return true;
-    return EvalReach(reach_gr_, reach_map_[u], reach_map_[v],
-                     PathMode::kNonEmpty, algo);
+    return BfsReaches(reach_gr_, reach_map_[u], reach_map_[v],
+                      PathMode::kNonEmpty);
   }
 
   /// The maximum match of q, expanded to original node ids (F = id, Match

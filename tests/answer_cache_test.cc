@@ -5,12 +5,14 @@
 // negative-cached, or freshly evaluated — must be bit-identical to the
 // uncached oracle for the exact version the query pinned, across publish
 // cycles, on every generator family, and under eviction pressure. The
-// stress test drives multi-reader/one-writer load through the cached facade
-// and oracle-checks every observation (suite names carry the
-// "QueryService"/"Serving"/"Shard" prefixes CI's TSan job filters on).
+// stress tests drive multi-reader/one-writer load through both cached
+// services, unsharded and routed, and oracle-check every observation (suite
+// names carry the "QueryService"/"Serving"/"Shard" prefixes CI's TSan job
+// filters on).
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -23,6 +25,7 @@
 #include "gen/random_models.h"
 #include "gen/uniform.h"
 #include "gen/update_gen.h"
+#include "graph/builder.h"
 #include "pattern/match.h"
 #include "serve/answer_cache.h"
 #include "serve/load_gen.h"
@@ -53,8 +56,8 @@ std::vector<std::pair<const char*, Graph>> FamilyCorpus() {
 // Issues `count` random reach probes (both path modes) and every pattern
 // twice (second time from the cache) against one pinned cached snapshot,
 // comparing each answer with direct evaluation on `truth`.
-template <typename CachedPin>
-void ExpectPinMatchesOracle(const CachedPin& pin, const Graph& truth,
+template <typename Pin>
+void ExpectPinMatchesOracle(const Pin& pin, const Graph& truth,
                             const std::vector<PatternQuery>& patterns,
                             size_t count, uint64_t seed, const char* what) {
   Rng rng(seed);
@@ -152,68 +155,107 @@ TEST(CachedQueryServiceTest, TransitiveProbesAreCountedMisses) {
 }
 
 // ---------------------------------------------------------------------------
-// Eviction under pressure: tiny capacities, sustained load — evictions must
-// happen and answers must stay oracle-exact throughout.
+// Eviction under pressure: more distinct keys than either table has slots —
+// evictions must happen and answers must stay oracle-exact.
 // ---------------------------------------------------------------------------
 
 TEST(CachedQueryServiceTest, EvictionUnderPressureStaysExact) {
-  const Graph g = GenerateUniform(200, 520, 4, 29);
+  // Every node of a directed grid is its own reach class: 400 classes and
+  // 159,600 off-diagonal block pairs, over twice the table's slots, so some
+  // insert must find its probe window full.
+  Graph g = DirectedGrid(20, 20);
+  AssignZipfLabels(g, 4, 1.1, 14);
+  const size_t n = g.num_nodes();
+  static_assert(400 * 399 > 2 * VersionAnswerCache::kReachCapacity);
   SnapshotManager mgr(g);
-  AnswerCacheOptions options;
-  options.reach_capacity = 64;
-  options.match_capacity = 4;
-  CachedQueryService cached(mgr, options);
+  ASSERT_EQ(mgr.Acquire()->reach_gr().num_nodes(), n);
+  CachedQueryService cached(mgr);
   const std::vector<PatternQuery> patterns = ServeLoadPatterns(g, 24, 31);
   ASSERT_FALSE(patterns.empty());
+  std::vector<bool> matched;
+  for (const PatternQuery& p : patterns) matched.push_back(Match(g, p).matched);
+
+  // Oracle rows: one BFS on G per source (reflexive, as Reach defaults).
+  std::vector<std::vector<uint32_t>> dist;
+  for (NodeId u = 0; u < n; ++u) dist.push_back(BfsDistances(g, u));
 
   const auto pin = cached.Pin();
   Rng rng(90);
-  for (size_t i = 0; i < 4000; ++i) {
-    const NodeId u = static_cast<NodeId>(rng.Uniform(g.num_nodes()));
-    const NodeId v = static_cast<NodeId>(rng.Uniform(g.num_nodes()));
-    ASSERT_EQ(pin->Reach(u, v), BfsReaches(g, u, v));
-    if (i % 8 == 0) {
-      const PatternQuery& p = patterns[rng.Uniform(patterns.size())];
-      ASSERT_EQ(pin->BooleanMatch(p), Match(g, p).matched);
+  size_t probes = 0;
+  const auto probe = [&](NodeId u, NodeId v) {
+    ASSERT_EQ(pin->Reach(u, v), dist[u][v] != kUnreachedDist)
+        << u << " -> " << v;
+    if (++probes % 64 == 0) {
+      const size_t p = rng.Uniform(patterns.size());
+      ASSERT_EQ(pin->BooleanMatch(patterns[p]), matched[p]) << "pattern " << p;
+    }
+  };
+  for (NodeId u = 0; u < n && !HasFatalFailure(); ++u) {
+    for (NodeId v = 0; v < n; ++v) probe(u, v);
+  }
+  // The most recent inserts are still resident; evicted ones re-evaluate.
+  for (NodeId u = 0; u < n; ++u) probe(u, static_cast<NodeId>(n - 1));
+  for (NodeId v = 0; v < n; ++v) probe(0, v);
+
+  // Twice as many distinct never-matching patterns (one node, a label g
+  // lacks) as the negative cache holds, probed twice.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < 2 * VersionAnswerCache::kMatchCapacity; ++i) {
+      PatternQuery never;
+      never.AddNode(static_cast<Label>(100 + i));
+      ASSERT_FALSE(pin->BooleanMatch(never)) << "label " << 100 + i;
     }
   }
   const CacheStats stats = cached.cache_stats();
   EXPECT_GT(stats.reach_evictions, 0u);
   EXPECT_GT(stats.reach_exact_hits, 0u);
+  EXPECT_GT(stats.match_evictions, 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Version attachment: a publish cold-starts the new version's cache; a
-// reader still pinning a retired version keeps its warm cache and stays
-// correct against that version's graph.
+// reader still pinning a version whose cache the bank retired keeps using
+// it and stays correct against that version's graph.
 // ---------------------------------------------------------------------------
 
 TEST(CachedQueryServiceTest, RetiredVersionPinStaysWarmAndCorrect) {
   const Graph initial = GenerateUniform(80, 220, 4, 13);
   SnapshotManager mgr(initial);
-  AnswerCacheOptions options;
-  options.max_versions = 2;
-  CachedQueryService cached(mgr, options);
+  CachedQueryService cached(mgr);
 
   const auto old_pin = cached.Pin();
   const Graph old_graph = mgr.graph();
   ExpectPinMatchesOracle(old_pin, old_graph, {}, 100, 1, "warmup");
+  // While its cache is in the bank, the old pin's probes move the counters.
+  const auto lookups = [&cached] {
+    const CacheStats stats = cached.cache_stats();
+    return stats.reach_exact_hits + stats.reach_misses;
+  };
+  const uint64_t live = lookups();
+  ExpectPinMatchesOracle(old_pin, old_graph, {}, 100, 2, "live");
+  EXPECT_GT(lookups(), live);
   Graph mirror = old_graph;
 
-  // Publish well past max_versions: the version-1 cache is retired from the
-  // bank, but old_pin's handle keeps it alive and warm.
-  for (size_t round = 0; round < 5; ++round) {
+  // Pin every published version, more of them than the bank keeps: each
+  // pin gets a cache, and version 1's leaves the bank.
+  std::vector<std::shared_ptr<const CachedPin<ServingSnapshot>>> pins;
+  for (size_t round = 0; round <= AnswerCache::kMaxVersions; ++round) {
     const UpdateBatch batch = RandomMixed(mgr.graph(), 10, 0.5, 600 + round);
     mgr.Apply(batch);
     ApplyBatch(mirror, batch);
     mgr.Publish();
+    pins.push_back(cached.Pin());
+    ExpectPinMatchesOracle(pins.back(), mirror, {}, 50, 10 + round, "new");
   }
-  const auto new_pin = cached.Pin();
-  EXPECT_NE(old_pin->version(), new_pin->version());
-  ExpectPinMatchesOracle(new_pin, mirror, {}, 150, 2, "post-publish");
-  // The retired-version pin must still answer for ITS graph, not the
-  // current one.
+  EXPECT_NE(old_pin->snapshot().version(), pins.back()->snapshot().version());
+
+  // Version 1's counters froze at retirement: the retired pin's probes, hits
+  // and misses alike, no longer show in cache_stats(). It must still answer
+  // for ITS graph, not the current one.
+  const uint64_t frozen = lookups();
   ExpectPinMatchesOracle(old_pin, old_graph, {}, 150, 3, "retired-pin");
+  ExpectPinMatchesOracle(old_pin, old_graph, {}, 100, 1, "retired-warm");
+  EXPECT_EQ(lookups(), frozen);
 }
 
 // ---------------------------------------------------------------------------
@@ -291,8 +333,8 @@ TEST(CachedShardedServiceTest, RoutedCachedDifferentialAcrossPublishes) {
 // ---------------------------------------------------------------------------
 
 // Warms `cached` with Reach(0, v) for every v < n, then probes past n.
-template <typename CachedService>
-void ExpectOutOfRangeReachAborts(const CachedService& cached, NodeId n) {
+template <typename Service>
+void ExpectOutOfRangeReachAborts(const Service& cached, NodeId n) {
   for (NodeId v = 0; v < n; ++v) (void)cached.Reach(0, v);
   EXPECT_DEATH((void)cached.Reach(n, 0), "QPGC_CHECK failed");
   EXPECT_DEATH((void)cached.Reach(0, n), "QPGC_CHECK failed");
@@ -391,7 +433,7 @@ TEST(ServingCacheStressTest, ConcurrentCachedQueriesMatchOracle) {
              log.size() < kMaxObservationsPerReader) {
         const auto pin = cached.Pin();
         CacheObservation ob;
-        ob.version = pin->version();
+        ob.version = pin->snapshot().version();
         if (rng.Uniform(8) == 0) {
           ob.pattern = sampler.SamplePatternIndex(rng, patterns.size());
           ob.answer = pin->BooleanMatch(patterns[ob.pattern]);
@@ -421,6 +463,8 @@ TEST(ServingCacheStressTest, ConcurrentCachedQueriesMatchOracle) {
   }
   done.store(true, std::memory_order_relaxed);
   for (auto& t : readers) t.join();
+  // Once the writer is done, a pin serves the last published version.
+  EXPECT_EQ(cached.Pin()->snapshot().version(), mgr.published_version());
 
   std::unordered_map<uint64_t, std::vector<MatchResult>> match_oracle;
   size_t checked = 0;
@@ -443,6 +487,137 @@ TEST(ServingCacheStressTest, ConcurrentCachedQueriesMatchOracle) {
         }
         ASSERT_EQ(ob.answer, oracle[ob.pattern].matched)
             << "version " << ob.version << " pattern " << ob.pattern;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_GT(cached.cache_stats().reach_exact_hits, 0u);
+}
+
+// The routed instantiation under the same load: K = 2, one writer applying
+// and publishing shard by shard. Every observation is checked against the
+// graph of its pinned version vector — the union of each shard's edges at
+// its pinned version, a real global state because shards own disjoint edge
+// sets (ShardedServingStressTest's reconstruction).
+TEST(ServingCacheStressTest, ConcurrentRoutedCachedQueriesMatchOracle) {
+  constexpr uint32_t kShards = 2;
+  constexpr size_t kReaders = 3;
+  constexpr size_t kRounds = 7;
+  constexpr size_t kMaxObservationsPerReader = 1200;
+
+  const Graph initial = GenerateUniform(200, 460, 4, 41);
+  const std::vector<PatternQuery> patterns =
+      ServeLoadPatterns(initial, 6, 61);
+  ASSERT_FALSE(patterns.empty());
+
+  ShardedManagerOptions opts;
+  opts.num_shards = kShards;
+  ShardedSnapshotManager mgr(initial, opts);
+  CachedShardedQueryService cached(mgr);
+  // Each shard's edges per published version; written by the writer only,
+  // read after the join.
+  std::vector<std::map<uint64_t, std::vector<std::pair<NodeId, NodeId>>>>
+      history(kShards);
+  std::vector<std::vector<NodeId>> owned(kShards);
+  for (uint32_t s = 0; s < kShards; ++s) {
+    owned[s] = mgr.partition().OwnedNodes(s);
+    history[s][1] = mgr.shard(s).graph().EdgeList();
+  }
+
+  struct RoutedObservation {
+    std::vector<uint64_t> versions;
+    CacheObservation ob;
+  };
+  std::atomic<bool> done{false};
+  std::atomic<size_t> requests{0};
+  std::vector<std::vector<RoutedObservation>> observed(kReaders);
+
+  const ReaderWorkload workload = ReaderWorkload::ZipfHotSet(1.1, 128);
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(7100 + r);
+      const WorkloadSampler sampler(workload, initial.num_nodes());
+      auto& log = observed[r];
+      while (!done.load(std::memory_order_relaxed) &&
+             log.size() < kMaxObservationsPerReader) {
+        const auto pin = cached.Pin();
+        RoutedObservation entry;
+        entry.versions = pin->snapshot().versions();
+        CacheObservation& ob = entry.ob;
+        if (rng.Uniform(8) == 0) {
+          ob.pattern = sampler.SamplePatternIndex(rng, patterns.size());
+          ob.answer = pin->BooleanMatch(patterns[ob.pattern]);
+        } else {
+          ob.is_reach = true;
+          const std::pair<NodeId, NodeId> uv = sampler.SampleReachPair(rng);
+          ob.u = uv.first;
+          ob.v = uv.second;
+          ob.answer = pin->Reach(ob.u, ob.v);
+        }
+        log.push_back(std::move(entry));
+        requests.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (requests.load(std::memory_order_relaxed) < kReaders * 64) {
+    std::this_thread::yield();
+  }
+
+  for (size_t round = 0; round < kRounds; ++round) {
+    for (uint32_t s = 0; s < kShards; ++s) {
+      mgr.ApplyToShard(s, RandomShardLocalBatch(mgr.shard(s).graph(),
+                                                owned[s], 6, 0.55,
+                                                9100 + 10 * round + s));
+      const PublishStats stats = mgr.PublishShard(s);
+      history[s][stats.version] = mgr.shard(s).graph().EdgeList();
+    }
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (auto& t : readers) t.join();
+
+  // Once the writer is done, a pin serves the final version vector.
+  std::vector<uint64_t> final_versions;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    final_versions.push_back(mgr.shard(s).published_version());
+  }
+  EXPECT_EQ(cached.Pin()->snapshot().versions(), final_versions);
+
+  std::map<std::vector<uint64_t>, Graph> graph_at;
+  std::map<std::pair<std::vector<uint64_t>, size_t>, bool> match_oracle;
+  size_t checked = 0;
+  for (const auto& log : observed) {
+    for (const auto& [versions, ob] : log) {
+      auto it = graph_at.find(versions);
+      if (it == graph_at.end()) {
+        GraphBuilder builder(initial.num_nodes());
+        for (NodeId v = 0; v < initial.num_nodes(); ++v) {
+          builder.SetLabel(v, initial.label(v));
+        }
+        for (uint32_t s = 0; s < kShards; ++s) {
+          const auto hist = history[s].find(versions[s]);
+          ASSERT_NE(hist, history[s].end())
+              << "pinned unknown version " << versions[s] << " of shard " << s;
+          for (const auto& [u, v] : hist->second) builder.AddEdge(u, v);
+        }
+        it = graph_at.emplace(versions, builder.Build()).first;
+      }
+      const Graph& truth = it->second;
+      if (ob.is_reach) {
+        ASSERT_EQ(ob.answer, BfsReaches(truth, ob.u, ob.v))
+            << "reach(" << ob.u << ", " << ob.v << ")";
+      } else {
+        const auto key = std::make_pair(versions, ob.pattern);
+        auto want = match_oracle.find(key);
+        if (want == match_oracle.end()) {
+          want = match_oracle
+                     .emplace(key, Match(truth, patterns[ob.pattern]).matched)
+                     .first;
+        }
+        ASSERT_EQ(ob.answer, want->second) << "pattern " << ob.pattern;
       }
       ++checked;
     }

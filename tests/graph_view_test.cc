@@ -42,6 +42,15 @@ static_assert(GraphView<ReversedView<Graph>>);
 static_assert(GraphView<ReversedView<CsrGraph>>);
 static_assert(GraphView<ReversedView<ReversedView<CsrGraph>>>);
 
+// The historical backward k-bisimulation: copies the graph and calls
+// Reverse() before running forward refinement. The oracle of the
+// in-edge-driven KBisimulationBackward.
+Partition KBisimulationBackwardCopying(const Graph& g, size_t k) {
+  Graph reversed = g;
+  reversed.Reverse();
+  return KBisimulation(reversed, k);
+}
+
 // The corpus: one representative of every generator family, labeled where
 // the family supports it, sized to keep the whole suite fast. Built once —
 // the fixture and the test name generator both index into it repeatedly.

@@ -79,8 +79,9 @@ TEST(ServingSnapshotTest, FreezeAnswersLikeArtifactsAndOriginal) {
     for (const PathMode mode : {PathMode::kReflexive, PathMode::kNonEmpty}) {
       const bool direct = BfsReaches(g, q.u, q.v, mode);
       EXPECT_EQ(snap.Reach(q.u, q.v, mode), direct);
-      EXPECT_EQ(snap.Reach(q.u, q.v, mode, ReachAlgorithm::kBiBfs), direct);
       EXPECT_EQ(AnswerOnCompressed(rc, q, mode, ReachAlgorithm::kBfs), direct);
+      EXPECT_EQ(AnswerOnCompressed(rc, q, mode, ReachAlgorithm::kBiBfs),
+                direct);
     }
   }
 
