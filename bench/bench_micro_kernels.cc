@@ -156,21 +156,6 @@ void BM_BfsOnGr(benchmark::State& state) {
 }
 BENCHMARK(BM_BfsOnGr);
 
-void BM_BfsCsrOnGr(benchmark::State& state) {
-  const Graph g = SocialGraph(8000);
-  const ReachCompression rc = CompressR(g);
-  const CsrGraph& frozen = *rc.gr;
-  const auto queries = RandomReachQueries(g.num_nodes(), 64, 7);
-  size_t i = 0;
-  for (auto _ : state) {
-    const auto& q = queries[i++ % queries.size()];
-    benchmark::DoNotOptimize(
-        q.u == q.v || CsrBfsReaches(frozen, rc.node_map[q.u],
-                                    rc.node_map[q.v], PathMode::kNonEmpty));
-  }
-}
-BENCHMARK(BM_BfsCsrOnGr);
-
 // The end-to-end benchmark's match datasets: arg 0 its social graph, whose
 // pattern quotient barely compresses; arg 1 its 141x141 directed grid;
 // arg 2 the Citation stand-in, whose 67 selective labels leave candidate

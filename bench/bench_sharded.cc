@@ -4,7 +4,7 @@
 // partitioned serving subsystem of serve/sharded_manager.h + serve/router.h
 // on one total graph as the shard count K grows).
 //
-// Four experiments:
+// Five experiments:
 //  1. Partition structure vs K (deterministic): cross-shard edge fraction
 //     of the hash partition and the summed per-shard quotient sizes — the
 //     structural prices/wins everything else derives from.
@@ -25,10 +25,7 @@
 //     quotient boolean matches). Hash partitioning maximizes boundary
 //     crossings, so this is the honest price of fully global queries on a
 //     structure-blind partition; reported next to (3), never hidden.
-//  5. Stitch reuse (deterministic): republish ONE shard, restitch, and
-//     report what fraction of per-shard segments the service's StitchCache
-//     carried over — the "patch only shards whose version moved" story.
-//  6. Partitioner comparison (id-scrambled grid): cross-edge fraction and a
+//  5. Partitioner comparison (id-scrambled grid): cross-edge fraction and a
 //     short routed-reach window for hash vs contiguous vs the
 //     SCC-coarsened structure partitioner, on a graph whose node ids carry
 //     no locality — the case the structure partitioner exists for.
@@ -111,9 +108,9 @@ void PartitionStructureExperiment(const Graph& g) {
     });
     size_t sum_reach = 0, sum_pattern = 0;
     for (uint32_t s = 0; s < k; ++s) {
-      const ShardView<Graph> view(g, part, s);
-      sum_reach += CompressR(view).size();
-      sum_pattern += CompressB(view).size();
+      const Graph shard = MaterializeShard(g, part, s);
+      sum_reach += CompressR(shard).size();
+      sum_pattern += CompressB(shard).size();
     }
     const double frac =
         g.num_edges() == 0
@@ -388,41 +385,6 @@ void RoutedThroughputExperiment(const Graph& g, double window_secs) {
   std::printf("\n");
 }
 
-void StitchReuseExperiment(const Graph& g) {
-  // Deterministic "patch only moved shards" scenario: stitch once cold,
-  // republish exactly ONE shard, stitch again. The service's StitchCache
-  // carries the K-1 untouched shards' segments (their frozen pattern sides
-  // are pointer-shared across versions), so the expected ratio is
-  // (K-1)/2K over the two stitches.
-  std::printf("stitched-quotient reuse after a one-shard republish:\n");
-  std::printf("%-4s %10s %12s %12s %12s\n", "K", "builds", "full reuse",
-              "seg reused", "reuse ratio");
-  bench::Rule();
-  for (const uint32_t k : ShardCounts()) {
-    if (k < 2) continue;
-    ShardedManagerOptions opts;
-    opts.num_shards = k;
-    ShardedSnapshotManager mgr(g, opts);
-    const ShardedQueryService service(mgr);
-    (void)service.Pin()->stitched();  // cold build: K segments, 0 carried
-    const std::vector<NodeId> owned = mgr.partition().OwnedNodes(0);
-    mgr.ApplyToShard(
-        0, RandomShardLocalBatch(mgr.shard(0).graph(), owned, 8, 0.7, 11));
-    mgr.PublishShard(0, FreezeMode::kFull);
-    (void)service.Pin()->stitched();  // only shard 0's segment moved
-    const StitchCache::Stats stats = service.stitch_stats();
-    std::printf("%-4u %10llu %12llu %12llu %12.3f\n", k,
-                static_cast<unsigned long long>(stats.builds),
-                static_cast<unsigned long long>(stats.full_reuses),
-                static_cast<unsigned long long>(stats.segments_reused),
-                stats.reuse_ratio());
-    bench::Metric("stitch_reuse_ratio.K" + std::to_string(k),
-                  stats.reuse_ratio());
-  }
-  bench::Rule();
-  std::printf("\n");
-}
-
 Graph ScrambleNodeIds(const Graph& g, uint64_t seed) {
   // Random id permutation: keeps the structure, destroys id locality.
   std::vector<NodeId> perm(g.num_nodes());
@@ -507,7 +469,6 @@ int main() {
                            "social graph, hash partition");
   ShardLocalCapacityExperiment(grid, window_secs);
   RoutedThroughputExperiment(g, window_secs);
-  StitchReuseExperiment(g);
   PartitionerComparisonExperiment(window_secs);
   std::printf("expected shape: per-shard publish latency and shard-local "
               "query cost fall as K grows\n(aggregate shard-local qps "

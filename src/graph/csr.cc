@@ -125,8 +125,4 @@ size_t CsrGraph::MemoryBytes() const {
          VectorBytes(labels_) + label_index_.MemoryBytes();
 }
 
-bool CsrBfsReaches(const CsrGraph& g, NodeId u, NodeId v, PathMode mode) {
-  return BfsReaches(g, u, v, mode);
-}
-
 }  // namespace qpgc

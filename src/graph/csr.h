@@ -22,7 +22,6 @@
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 #include "graph/label_index.h"
-#include "graph/traversal.h"
 #include "util/common.h"
 #include "util/lifetime_annotations.h"
 
@@ -171,12 +170,6 @@ static_assert(DenseInEdgeView<CsrGraph>);
 static_assert(!DenseInEdgeView<Graph>);  // vector-of-vectors has no flat array
 static_assert(LabelIndexedView<CsrGraph>);
 static_assert(!LabelIndexedView<Graph>);  // mutable labels: Match scans
-
-/// BFS reachability on the frozen view — the same stock algorithm as
-/// BfsReaches, on the flat layout. (Kept as a named entry point; it is the
-/// BfsReaches template instantiated for CsrGraph.)
-bool CsrBfsReaches(const CsrGraph& g, NodeId u, NodeId v,
-                   PathMode mode = PathMode::kReflexive);
 
 }  // namespace qpgc
 

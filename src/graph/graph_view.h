@@ -13,11 +13,11 @@
 //     entry points freeze once and run the whole pipeline on.
 //
 // Any type exposing the seven members below participates — `Graph`,
-// `CsrGraph`, the shard-local `ShardView` (graph/shard_view.h), and the
-// zero-copy `ReversedView` adapter all do; future substrates (e.g. an
-// mmap-backed snapshot) slot in without touching the algorithms. Adjacency
-// runs are required to be sorted ascending (every built-in view guarantees
-// it), which the algorithms exploit for binary-search edge tests.
+// `CsrGraph` and the zero-copy `ReversedView` adapter all do; future
+// substrates (e.g. an mmap-backed snapshot) slot in without touching the
+// algorithms. Adjacency runs are required to be sorted ascending (every
+// built-in view guarantees it), which the algorithms exploit for
+// binary-search edge tests.
 //
 // Thread-safety contract: the concept is read-only — algorithms templated
 // over it never mutate the view, so any number of threads may run batch

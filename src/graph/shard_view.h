@@ -25,27 +25,22 @@
 //    stitched pattern quotient rests on (serve/router.h) — and it is
 //    label-change-free under edge updates, so the per-shard incremental
 //    layer (IncRCM/IncPCM) runs completely unmodified.
-//  * `ShardView` — a GraphView of one shard over any base view: zero-copy
-//    out-adjacency (owned nodes expose the base runs, ghosts expose
-//    nothing), a compacted in-adjacency built in one O(|E_s|) pass, and the
-//    ghost-label overlay. The whole batch pipeline (compressR, compressB,
-//    Match, SCC, ...) runs on a ShardView unmodified — this is the
-//    shard-local substrate the GraphView concept was designed to admit.
-//  * `MaterializeShard` — the same subgraph as a dynamic `Graph`, for the
-//    mutable per-shard source of truth the serving writer maintains.
+//  * `MaterializeShard` — one shard's subgraph as a dynamic `Graph`: the
+//    full node universe, the owned nodes' out-edges and the ghost-label
+//    overlay. It is the mutable per-shard source of truth the serving
+//    writer maintains, and the whole batch pipeline (compressR, compressB,
+//    Match, SCC, ...) runs on it unmodified.
 
 #ifndef QPGC_GRAPH_SHARD_VIEW_H_
 #define QPGC_GRAPH_SHARD_VIEW_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/builder.h"
 #include "graph/graph.h"
 #include "graph/graph_view.h"
 #include "util/common.h"
-#include "util/lifetime_annotations.h"
 
 namespace qpgc {
 
@@ -55,8 +50,8 @@ namespace qpgc {
 inline constexpr Label kGhostLabelBase = Label{1} << 31;
 
 /// The synthetic label of node v when it appears as a ghost. Unique per
-/// node, never equal to any real label or to kNoLabel (checked at shard
-/// view/materialization time).
+/// node, never equal to any real label or to kNoLabel (checked at
+/// materialization time).
 inline Label GhostLabel(NodeId v) { return kGhostLabelBase + v; }
 
 /// True iff `l` is a ghost label. Real labels are small (< kGhostLabelBase)
@@ -70,7 +65,7 @@ inline bool IsGhostLabel(Label l) {
 /// True iff g can be sharded: every label is a real label (below the ghost
 /// range, or kNoLabel) and the node count leaves room for per-node ghost
 /// labels. Boundary-validating callers (the CLI) should reject graphs that
-/// fail this instead of relying on the QPGC_CHECKs inside the shard views.
+/// fail this instead of relying on the QPGC_CHECKs inside MaterializeShard.
 inline bool LabelsShardable(const Graph& g) {
   if (g.num_nodes() >= kNoLabel - kGhostLabelBase) return false;
   for (const Label l : g.labels()) {
@@ -120,8 +115,8 @@ struct ShardPartition {
   /// overwhelmingly connect condensation-adjacent SCCs — mostly stay
   /// within a chunk, so boundary sets shrink on graphs whose node ids do
   /// not correlate with structure (docs/SHARDING.md). Ownership only: the
-  /// ghost-label invariant is a property of how ShardView / MaterializeShard
-  /// label non-owned nodes, so it holds under any ownership map, this one
+  /// ghost-label invariant is a property of how MaterializeShard labels
+  /// non-owned nodes, so it holds under any ownership map, this one
   /// included.
   static ShardPartition Structure(const Graph& g, uint32_t k);
 };
@@ -145,85 +140,6 @@ const char* PartitionerKindName(PartitionerKind kind);
 /// inspected by kStructure; the others use just the node count).
 ShardPartition BuildPartition(PartitionerKind kind, const Graph& g, uint32_t k,
                               uint64_t hash_seed = 0);
-
-/// Read-only GraphView of one shard of a base view (see file comment):
-/// nodes = the full universe, edges = base edges whose source is owned,
-/// labels = real for owned nodes / GhostLabel(v) for ghosts.
-///
-/// Out-adjacency is zero-copy (spans into the base view); in-adjacency is
-/// compacted into the view at construction (one O(|V| + |E_shard|) pass —
-/// a filtered subset of base in-runs cannot be exposed as a span). The view
-/// references the base view and the partition; both must outlive it — GSL
-/// Pointer plus the lifetimebound constructor parameters make constructing
-/// one over a temporary base or partition a compile error under Clang
-/// (docs/LIFETIMES.md).
-template <GraphView G>
-class QPGC_GSL_POINTER ShardView {
- public:
-  ShardView(const G& base QPGC_LIFETIME_BOUND,
-            const ShardPartition& part QPGC_LIFETIME_BOUND, uint32_t shard)
-      : base_(&base), part_(&part), shard_(shard) {
-    QPGC_CHECK(shard < part.num_shards);
-    QPGC_CHECK(base.num_nodes() == part.num_nodes());
-    const size_t n = base.num_nodes();
-    // Ghost labels must stay clear of kNoLabel; real labels must stay below
-    // the ghost range.
-    QPGC_CHECK(n < kNoLabel - kGhostLabelBase);
-    // Count shard in-degrees, then fill CSR-style in one pass. Base out-runs
-    // are ascending in v for ascending u, so per-target runs stay sorted.
-    in_offsets_.assign(n + 1, 0);
-    size_t shard_edges = 0;
-    for (NodeId u = 0; u < n; ++u) {
-      if (part.shard_of[u] != shard) continue;
-      // Same precondition MaterializeShard enforces: real labels only.
-      QPGC_CHECK(!IsGhostLabel(base.label(u)));
-      shard_edges += base.OutDegree(u);
-      for (NodeId v : base.OutNeighbors(u)) ++in_offsets_[v + 1];
-    }
-    for (size_t v = 1; v <= n; ++v) in_offsets_[v] += in_offsets_[v - 1];
-    in_targets_.resize(shard_edges);
-    std::vector<uint64_t> cursor(in_offsets_.begin(), in_offsets_.end() - 1);
-    for (NodeId u = 0; u < n; ++u) {
-      if (part.shard_of[u] != shard) continue;
-      for (NodeId v : base.OutNeighbors(u)) in_targets_[cursor[v]++] = u;
-    }
-    num_edges_ = shard_edges;
-  }
-
-  size_t num_nodes() const { return base_->num_nodes(); }
-  size_t num_edges() const { return num_edges_; }
-
-  std::span<const NodeId> OutNeighbors(NodeId u) const QPGC_LIFETIME_BOUND {
-    if (part_->shard_of[u] != shard_) return {};
-    return base_->OutNeighbors(u);
-  }
-  std::span<const NodeId> InNeighbors(NodeId u) const QPGC_LIFETIME_BOUND {
-    return {in_targets_.data() + in_offsets_[u],
-            in_targets_.data() + in_offsets_[u + 1]};
-  }
-  size_t OutDegree(NodeId u) const {
-    return part_->shard_of[u] == shard_ ? base_->OutDegree(u) : 0;
-  }
-  size_t InDegree(NodeId u) const {
-    return in_offsets_[u + 1] - in_offsets_[u];
-  }
-  Label label(NodeId u) const {
-    return part_->shard_of[u] == shard_ ? base_->label(u) : GhostLabel(u);
-  }
-
-  uint32_t shard() const { return shard_; }
-  const ShardPartition& partition() const { return *part_; }
-
- private:
-  const G* base_;
-  const ShardPartition* part_;
-  uint32_t shard_;
-  std::vector<uint64_t> in_offsets_;  // n + 1 entries
-  std::vector<NodeId> in_targets_;
-  size_t num_edges_ = 0;
-};
-
-static_assert(GraphView<ShardView<Graph>>);
 
 /// Materializes shard `shard` of `base` as a dynamic Graph (same node
 /// universe, owned-source edges, ghost-label overlay) — the mutable

@@ -105,21 +105,17 @@ void FrozenBoundarySummary::Build(
   }
 
   // Entry table: each entry's block, as a summary node (kNoSummaryNode for
-  // pruned blocks — that entry reaches no exit here), plus the dense
-  // node-indexed slot vector behind the O(1) LookupEntry.
+  // pruned blocks — that entry reaches no exit here).
   entry_summary_node_.resize(entry_nodes.size());
-  entry_slot_.assign(node_map.size(), 0);
   for (size_t i = 0; i < entry_nodes.size(); ++i) {
     entry_summary_node_[i] = summary_id[node_map[entry_nodes[i]]];
-    entry_slot_[entry_nodes[i]] = static_cast<uint32_t>(i + 1);
   }
 }
 
 size_t FrozenBoundarySummary::MemoryBytes() const {
   return VectorBytes(out_offsets_) + VectorBytes(out_targets_) +
          VectorBytes(exit_offsets_) + VectorBytes(exit_nodes_) +
-         VectorBytes(entry_summary_node_) + VectorBytes(entry_slot_) +
-         (exits_ == nullptr ? 0 : VectorBytes(*exits_)) +
+         VectorBytes(entry_summary_node_) +
          (entries_ == nullptr ? 0 : VectorBytes(*entries_));
 }
 

@@ -34,8 +34,9 @@
 //
 // An entry *absent* from the table is meaningful: the entry gained its
 // first cross-shard in-edge after this shard's last publish (another
-// shard's writer created it). LookupEntry returns false for those and the
-// router falls back to a live quotient sweep, preserving exactness.
+// shard's writer created it). The router's route tables mark an exit that
+// is missing from its home summary's entries as stale, and the search falls
+// back to a live quotient sweep from it, preserving exactness.
 //
 // Lifecycle and thread safety match the frozen sides in serve/snapshot.h:
 // built fresh by the owning shard's writer inside Publish() before any
@@ -71,21 +72,6 @@ class FrozenBoundarySummary {
              std::shared_ptr<const std::vector<NodeId>> exits,
              std::shared_ptr<const std::vector<NodeId>> entries);
 
-  /// Looks up a boundary-entry node. Returns false when `entry` was not an
-  /// entry at freeze time (the router's stale-entry fallback); otherwise
-  /// true with *summary_node = the entry block's summary node, or
-  /// kNoSummaryNode when that block was pruned. O(1): the router resolves
-  /// every boundary node the search visits through here, so on dense
-  /// partitions this sits on the per-query critical path thousands of
-  /// times.
-  bool LookupEntry(NodeId entry, NodeId* summary_node) const {
-    if (entry >= entry_slot_.size()) return false;
-    const uint32_t slot = entry_slot_[entry];
-    if (slot == 0) return false;
-    *summary_node = entry_summary_node_[slot - 1];
-    return true;
-  }
-
   /// Number of summary nodes (pruned quotient blocks) / edges.
   size_t num_nodes() const { return out_offsets_.empty() ? 0 : out_offsets_.size() - 1; }
   size_t num_edges() const { return out_targets_.size(); }
@@ -116,8 +102,8 @@ class FrozenBoundarySummary {
     return exit_nodes_;
   }
 
-  /// The summary node of each entry, in entries_ptr() order (the bulk form
-  /// of LookupEntry — what the router's per-pin route table is built from).
+  /// The summary node of each entry, in entries_ptr() order (what the
+  /// router's per-pin route tables are built from).
   std::span<const NodeId> entry_summary_nodes() const QPGC_LIFETIME_BOUND {
     return entry_summary_node_;
   }
@@ -131,7 +117,8 @@ class FrozenBoundarySummary {
     return entries_;
   }
 
-  /// Heap bytes held by this summary.
+  /// Heap bytes held by this summary, apart from the exit set: that is the
+  /// snapshot's boundary_exits(), which counts it.
   size_t MemoryBytes() const;
 
  private:
@@ -142,11 +129,6 @@ class FrozenBoundarySummary {
   std::shared_ptr<const std::vector<NodeId>> exits_;
   std::shared_ptr<const std::vector<NodeId>> entries_;
   std::vector<NodeId> entry_summary_node_;  // parallel to *entries_
-  // Dense entry index: [node] = 1 + index into entry_summary_node_, 0 when
-  // the node was not an entry at freeze time. One word per graph node —
-  // publish already pays an O(|V|) node_map scan, and the vector is shared
-  // across versions whenever the whole summary carries over.
-  std::vector<uint32_t> entry_slot_;
 };
 
 }  // namespace qpgc

@@ -102,37 +102,13 @@ PinnedShards::PinnedShards(
   for (const auto& snap : snaps_) QPGC_CHECK(snap != nullptr);
 }
 
-std::shared_ptr<const StitchedPatternQuotient> StitchCache::Stitch(
+StitchedPatternQuotient StitchCache::Stitch(
     const ShardPartition& part,
     const std::vector<std::shared_ptr<const ServingSnapshot>>& snaps) {
-  const uint32_t num_shards = part.num_shards;
-  {
-    MutexLock lock(mu_);
-    stats_.segments_total += num_shards;
-    size_t carried = 0;
-    if (sides_.size() == num_shards) {
-      for (uint32_t s = 0; s < num_shards; ++s) {
-        if (sides_[s] == snaps[s]->pattern_side()) ++carried;
-      }
-    }
-    stats_.segments_reused += carried;
-    if (stitched_ != nullptr && carried == num_shards) {
-      ++stats_.full_reuses;
-      return stitched_;
-    }
-  }
-  // Assemble outside the lock; a concurrent racer builds its own equally
-  // valid quotient and the last writer wins the cache slot.
-  auto built = std::make_shared<const StitchedPatternQuotient>(
-      BuildStitchedPatternQuotient(part, snaps));
+  StitchedPatternQuotient st = BuildStitchedPatternQuotient(part, snaps);
   MutexLock lock(mu_);
   ++stats_.builds;
-  sides_.resize(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    sides_[s] = snaps[s]->pattern_side();
-  }
-  stitched_ = built;
-  return built;
+  return st;
 }
 
 StitchCache::Stats StitchCache::stats() const {
@@ -145,15 +121,6 @@ std::vector<uint64_t> PinnedShards::versions() const {
   versions.reserve(snaps_.size());
   for (const auto& snap : snaps_) versions.push_back(snap->version());
   return versions;
-}
-
-bool PinnedShards::SameVersions(
-    const std::vector<std::shared_ptr<const ServingSnapshot>>& snaps) const {
-  if (snaps.size() != snaps_.size()) return false;
-  for (size_t s = 0; s < snaps.size(); ++s) {
-    if (snaps[s]->version() != snaps_[s]->version()) return false;
-  }
-  return true;
 }
 
 // The stitched route graph, built once per version vector: the per-shard
@@ -584,31 +551,31 @@ bool PinnedShards::BooleanMatch(const PatternQuery& q) const {
 
 const StitchedPatternQuotient& PinnedShards::stitched() const {
   std::call_once(stitched_once_, [this] {
-    if (stitch_cache_ != nullptr) {
-      stitched_ = stitch_cache_->Stitch(*part_, snaps_);
-    } else {
-      stitched_ = std::make_shared<const StitchedPatternQuotient>(
-          BuildStitchedPatternQuotient(*part_, snaps_));
-    }
+    stitched_ = stitch_cache_ != nullptr
+                    ? stitch_cache_->Stitch(*part_, snaps_)
+                    : BuildStitchedPatternQuotient(*part_, snaps_);
   });
-  return *stitched_;
+  return stitched_;
 }
 
 std::shared_ptr<const PinnedShards> ShardedQueryService::Pin() const {
-  std::vector<std::shared_ptr<const ServingSnapshot>> snaps =
-      manager_.AcquireAll();
-  {
-    MutexLock lock(pins_mu_);
-    if (pins_ != nullptr && pins_->SameVersions(snaps)) return pins_;
-  }
-  // Build the fresh pin outside the lock (the stitched quotient inside it
-  // stays lazy anyway); last writer wins on a rebuild race, and either
-  // result is a valid pin of its own version vector.
-  auto pins = std::make_shared<const PinnedShards>(
-      manager_.partition_ptr(), std::move(snaps), stitch_cache_);
+  std::shared_ptr<const PinnedShards> replaced;  // freed after the unlock
   MutexLock lock(pins_mu_);
-  pins_ = pins;
-  return pins;
+  // The pin holds its snapshots alive, so an equal address is the same
+  // snapshot. Building under the lock keeps one pin per version vector;
+  // the stitched quotient and the route tables inside it stay lazy.
+  if (pins_ != nullptr) {
+    uint32_t s = 0;
+    while (s < pins_->num_shards() &&
+           manager_.Acquire(s).get() == &pins_->shard(s)) {
+      ++s;
+    }
+    if (s == pins_->num_shards()) return pins_;
+  }
+  replaced = std::move(pins_);
+  pins_ = std::make_shared<const PinnedShards>(
+      manager_.partition_ptr(), manager_.AcquireAll(), stitch_cache_);
+  return pins_;
 }
 
 }  // namespace qpgc

@@ -38,10 +38,7 @@
 //    (Theorem 4's proof only uses stability), so Match on the stitched
 //    quotient, expanded through the per-shard member indexes, equals Match
 //    on the original graph. The stitched quotient is built lazily once per
-//    pinned version vector; the service-level StitchCache additionally
-//    reuses it across version vectors whose pattern sides all carried over
-//    (reach-only publishes) and counts per-shard segment reuse — the
-//    stitch_reuse_ratio metric.
+//    pinned version vector, and the service hands out one pin per vector.
 //
 // Consistency model: each query pins one snapshot per shard (a version
 // vector). Because shards own disjoint edge sets, ANY version vector is a
@@ -100,24 +97,23 @@ StitchedPatternQuotient BuildStitchedPatternQuotient(
 class PinnedShards;
 struct RouteTables;  // router.cc: per-shard boundary routing tables
 
-/// Cross-pin stitch cache, one per ShardedQueryService. A publish bumps a
-/// shard's version even when only its reach side moved, but the stitched
-/// pattern quotient depends only on the frozen *pattern* sides — which are
-/// pointer-shared across such versions (serve/snapshot_manager.h skips the
-/// pattern refreeze when no pattern update was kept). The cache keys on
-/// those pointers: when every shard's pattern side carried over, the
-/// previous stitched quotient is returned outright; otherwise it rebuilds
-/// and records how many per-shard segments carried over unchanged. The
-/// reused/total segment counts are the stitch_reuse_ratio metric
-/// (docs/SHARDING.md#incremental-stitch).
+/// Builds the stitched quotient of each pin that reads one, and counts the
+/// builds; one per ShardedQueryService. A pin stitches at most once and the
+/// service hands out one pin per version vector, so `builds` counts the
+/// distinct version vectors whose stitched quotient was read. Nothing is
+/// cached across vectors: on social_routed_k2's update stream every
+/// per-shard publish refreezes its pattern side, so a quotient from an
+/// older vector never fits a newer one
+/// (docs/SHARDING.md#one-stitch-per-pinned-version-vector). The name stays
+/// because bench/e2e compiles against StitchCache::Stats.
 class StitchCache {
  public:
   struct Stats {
-    /// Stitched quotients actually assembled / served straight from cache.
     uint64_t builds = 0;
+    /// Always 0 now that no quotient is reused across version vectors.
+    /// bench/e2e still reads reuse_ratio(), and only a benchmark change may
+    /// drop them (ROADMAP.md, item 13).
     uint64_t full_reuses = 0;
-    /// Per-shard segments considered across all Stitch() calls, and how
-    /// many of them had an unchanged frozen pattern side.
     uint64_t segments_total = 0;
     uint64_t segments_reused = 0;
 
@@ -128,9 +124,8 @@ class StitchCache {
     }
   };
 
-  /// Returns the stitched quotient for `snaps`, from cache when every
-  /// shard's pattern side is unchanged. Thread-safe.
-  std::shared_ptr<const StitchedPatternQuotient> Stitch(
+  /// Builds the stitched quotient for `snaps` and counts it. Thread-safe.
+  StitchedPatternQuotient Stitch(
       const ShardPartition& part,
       const std::vector<std::shared_ptr<const ServingSnapshot>>& snaps)
       QPGC_EXCLUDES(mu_);
@@ -139,10 +134,6 @@ class StitchCache {
 
  private:
   mutable Mutex mu_;
-  std::vector<std::shared_ptr<const FrozenPatternSide>> sides_
-      QPGC_GUARDED_BY(mu_);
-  std::shared_ptr<const StitchedPatternQuotient> stitched_
-      QPGC_GUARDED_BY(mu_);
   Stats stats_ QPGC_GUARDED_BY(mu_);
 };
 
@@ -151,8 +142,8 @@ class StitchCache {
 /// directly from AcquireAll() in tests). Non-copyable; share by shared_ptr.
 class PinnedShards {
  public:
-  /// `stitch_cache` may be null (tests / direct pins): the stitched
-  /// quotient is then built from scratch for this pin.
+  /// `stitch_cache` counts this pin's stitch; it may be null (tests /
+  /// direct pins), and the stitch is then not counted.
   PinnedShards(std::shared_ptr<const ShardPartition> part,
                std::vector<std::shared_ptr<const ServingSnapshot>> snaps,
                std::shared_ptr<StitchCache> stitch_cache = nullptr);
@@ -165,10 +156,6 @@ class PinnedShards {
   size_t original_num_nodes() const { return part_->num_nodes(); }
   /// Per-shard snapshot versions, index = shard id.
   std::vector<uint64_t> versions() const;
-  /// True iff this pin holds exactly the given snapshots (version check,
-  /// index-wise).
-  bool SameVersions(
-      const std::vector<std::shared_ptr<const ServingSnapshot>>& snaps) const;
 
   /// Global QR(u, v) via boundary-crossing search (see file comment).
   bool Reach(NodeId u, NodeId v, PathMode mode = PathMode::kReflexive) const;
@@ -206,21 +193,23 @@ class PinnedShards {
   std::vector<std::shared_ptr<const ServingSnapshot>> snaps_;
   std::shared_ptr<StitchCache> stitch_cache_;
   mutable std::once_flag stitched_once_;
-  mutable std::shared_ptr<const StitchedPatternQuotient> stitched_;
+  mutable StitchedPatternQuotient stitched_;
   mutable std::once_flag route_tables_once_;
   mutable std::unique_ptr<const RouteTables> route_tables_;
 };
 
 /// The sharded counterpart of QueryService: each call pins a version vector
-/// once and routes against it. Pin() results are cached per version vector,
-/// so the stitched quotient is rebuilt only when some shard published.
+/// once and routes against it. Pin() hands out one pin object per version
+/// vector, so the stitched quotient is rebuilt only when some shard
+/// published.
 class ShardedQueryService {
  public:
   explicit ShardedQueryService(const ShardedSnapshotManager& manager)
       : manager_(manager), stitch_cache_(std::make_shared<StitchCache>()) {}
 
   /// Pins the current per-shard snapshots (for multi-query consistency).
-  /// Returns the cached pin when no shard has published since.
+  /// Returns the cached pin when no shard has published since; that check
+  /// allocates nothing.
   std::shared_ptr<const PinnedShards> Pin() const;
 
   /// Global QR(u, v) against the current version vector.
@@ -236,15 +225,15 @@ class ShardedQueryService {
     return Pin()->BooleanMatch(q);
   }
 
-  /// Stitched-quotient reuse counters across this service's pins (the
-  /// stitch_reuse_ratio metric).
+  /// Stitched quotients built across this service's pins.
   StitchCache::Stats stitch_stats() const { return stitch_cache_->stats(); }
 
  private:
   const ShardedSnapshotManager& manager_;
   const std::shared_ptr<StitchCache> stitch_cache_;
-  // Guards only the cached pin; queries run on the pinned snapshots
-  // lock-free once Pin() returns.
+  // Guards only the cached pin, so that each version vector gets one pin
+  // object; queries run on the pinned snapshots lock-free once Pin()
+  // returns.
   mutable Mutex pins_mu_;
   mutable std::shared_ptr<const PinnedShards> pins_
       QPGC_GUARDED_BY(pins_mu_);

@@ -174,7 +174,7 @@ ShardedSnapshotManager::AcquireAll() const {
   std::vector<std::shared_ptr<const ServingSnapshot>> snaps;
   snaps.reserve(num_shards());
   for (uint32_t s = 0; s < num_shards(); ++s) {
-    snaps.push_back(shards_[s]->Acquire());
+    snaps.push_back(Acquire(s));
   }
   return snaps;
 }

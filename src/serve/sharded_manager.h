@@ -40,12 +40,12 @@
 //    touch point, the entry tables, is locked). The convenience
 //    Apply()/PublishAll() drive every shard from the calling thread and
 //    therefore require exclusive write access to all shards.
-//  * Read side: AcquireAll() (and the router built on it) may be called
-//    from any number of threads concurrently with all writers. Each
-//    acquired snapshot is internally consistent; the vector is a cut of
-//    per-shard versions, which is a legitimate global state because shards
-//    own disjoint edge sets (any combination of per-shard states is the
-//    graph whose shard-s edges are at shard s's version).
+//  * Read side: AcquireAll() and Acquire(shard) (and the router built on
+//    them) may be called from any number of threads concurrently with all
+//    writers. Each acquired snapshot is internally consistent; the vector
+//    is a cut of per-shard versions, which is a legitimate global state
+//    because shards own disjoint edge sets (any combination of per-shard
+//    states is the graph whose shard-s edges are at shard s's version).
 //  * Lifetime: the manager must outlive writer calls; acquired snapshots
 //    (and PinnedShards built from them) may outlive the manager.
 
@@ -131,6 +131,11 @@ class ShardedSnapshotManager {
   /// i is shard i's snapshot. Prefer serve/router.h's ShardedQueryService,
   /// which wraps the vector in a query facade.
   std::vector<std::shared_ptr<const ServingSnapshot>> AcquireAll() const;
+
+  /// Pins the current snapshot of one shard. Never null; allocates nothing.
+  std::shared_ptr<const ServingSnapshot> Acquire(uint32_t shard) const {
+    return shards_[shard]->Acquire();
+  }
 
   uint32_t num_shards() const { return part_->num_shards; }
   const ShardPartition& partition() const QPGC_LIFETIME_BOUND {

@@ -178,23 +178,20 @@ ServingSnapshot::ServingSnapshot(
   QPGC_CHECK(reach_ != nullptr && pattern_ != nullptr);
   QPGC_CHECK(reach_->gr != nullptr && pattern_->gr != nullptr);
   if (boundary_exits_ != nullptr) {
-    exit_block_.reserve(boundary_exits_->size());
-    for (const NodeId x : *boundary_exits_) {
-      exit_block_.push_back(reach_->node_map[x]);
-    }
-    // Inverse: exit indexes grouped by block (counting sort — exits are
-    // few, blocks many).
+    // Exit indexes grouped by block: a counting sort (exits are few, blocks
+    // many).
+    const std::vector<NodeId>& exits = *boundary_exits_;
+    const std::vector<NodeId>& map = reach_->node_map;
     block_exit_offsets_.assign(reach_->gr->num_nodes() + 1, 0);
-    for (const NodeId b : exit_block_) ++block_exit_offsets_[b + 1];
+    for (const NodeId x : exits) ++block_exit_offsets_[map[x] + 1];
     for (size_t b = 1; b < block_exit_offsets_.size(); ++b) {
       block_exit_offsets_[b] += block_exit_offsets_[b - 1];
     }
-    block_exit_index_.resize(exit_block_.size());
+    block_exit_index_.resize(exits.size());
     std::vector<uint32_t> cursor(block_exit_offsets_.begin(),
                                  block_exit_offsets_.end() - 1);
-    for (size_t i = 0; i < exit_block_.size(); ++i) {
-      block_exit_index_[cursor[exit_block_[i]]++] =
-          static_cast<NodeId>(i);
+    for (size_t i = 0; i < exits.size(); ++i) {
+      block_exit_index_[cursor[map[exits[i]]]++] = static_cast<NodeId>(i);
     }
   }
 }
@@ -329,7 +326,8 @@ size_t ServingSnapshot::MemoryBytes() const {
   const size_t shared =
       reach_->gr == pattern_->gr ? reach_->gr->MemoryBytes() : 0;
   return reach_->MemoryBytes() + pattern_->MemoryBytes() - shared +
-         VectorBytes(boundary_exits()) +
+         VectorBytes(boundary_exits()) + VectorBytes(block_exit_offsets_) +
+         VectorBytes(block_exit_index_) +
          (boundary_summary_ == nullptr ? 0 : boundary_summary_->MemoryBytes());
 }
 

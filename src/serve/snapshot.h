@@ -276,9 +276,9 @@ class ServingSnapshot {
   }
 
   /// Heap bytes held by this snapshot. A graph both sides share is counted
-  /// once; shared sides are counted in full in every snapshot that
-  /// references them (per-handle accounting, not deduplicated across
-  /// versions).
+  /// once, and so is the exit set the boundary summary shares; shared sides
+  /// are counted in full in every snapshot that references them (per-handle
+  /// accounting, not deduplicated across versions).
   size_t MemoryBytes() const;
 
  private:
@@ -287,12 +287,10 @@ class ServingSnapshot {
   std::shared_ptr<const FrozenPatternSide> pattern_;
   std::shared_ptr<const std::vector<NodeId>> boundary_exits_;
   std::shared_ptr<const FrozenBoundarySummary> boundary_summary_;
-  // reach_map() image of each boundary exit, parallel to *boundary_exits_,
-  // plus its inverse — exit indexes grouped by quotient block (CSR) — both
+  // Boundary exit indexes grouped by their reach_map() block (CSR),
   // computed by the constructor. ResolveWave runs thousands of times per
   // routed query; walking a visited block's (usually empty) exit-index run
   // beats a node-map load and stamp probe per exit.
-  std::vector<NodeId> exit_block_;
   std::vector<uint32_t> block_exit_offsets_;  // quotient nodes + 1
   std::vector<NodeId> block_exit_index_;
 };

@@ -26,7 +26,7 @@
 //                         destroyed Owner as invalidating Pointers obtained
 //                         from it.
 //   QPGC_GSL_POINTER      [[gsl::Pointer]] — the class is itself a
-//                         non-owning view (ReversedView, ShardView):
+//                         non-owning view (ReversedView):
 //                         constructing one from a temporary Owner is
 //                         -Wdangling-gsl, and the pin-escape analyzer
 //                         (tools/qpgc_pin_escape.py) exempts it from the

@@ -1,6 +1,6 @@
 // Copyright 2026 The QPGC Authors.
 //
-// Sharded serving: the shard-local GraphView, per-shard snapshot managers,
+// Sharded serving: shard materialization, per-shard snapshot managers,
 // and the routing query service. The heart of the suite is differential:
 // routed Reach / Match / BooleanMatch over K pinned per-shard snapshots
 // must be bit-identical to direct evaluation on the unsharded graph, for
@@ -12,10 +12,12 @@
 // the query pinned (legitimate because shards own disjoint edge sets).
 // The "Sharded" prefix is what CI's TSan job filters on.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <string>
 #include <tuple>
@@ -37,6 +39,7 @@
 #include "serve/load_gen.h"
 #include "serve/router.h"
 #include "serve/sharded_manager.h"
+#include "util/memory.h"
 #include "util/rng.h"
 
 namespace qpgc {
@@ -114,66 +117,50 @@ void ExpectServiceMatchesOracle(const ShardedQueryService& service,
 }
 
 // ---------------------------------------------------------------------------
-// Shard-local view and partition plumbing.
+// Shard materialization and partition plumbing.
 // ---------------------------------------------------------------------------
 
-TEST(ShardViewTest, ViewMatchesMaterializedShard) {
+// A shard is G's owned out-runs over the whole node universe: owned nodes
+// keep their out-edges and labels, ghosts have no out-edges and carry
+// GhostLabel(v), so the shards' edge sets partition G's.
+TEST(ShardViewTest, MaterializedShardsPartitionTheGraph) {
   for (const auto& [name, g] : FamilyCorpus()) {
     SCOPED_TRACE(name);
     const ShardPartition part = ShardPartition::Hash(g.num_nodes(), 3, 5);
+    size_t shard_edges = 0;
     for (uint32_t s = 0; s < part.num_shards; ++s) {
-      const ShardView<Graph> view(g, part, s);
       const Graph mat = MaterializeShard(g, part, s);
-      ASSERT_EQ(view.num_nodes(), mat.num_nodes());
-      ASSERT_EQ(view.num_edges(), mat.num_edges());
+      ASSERT_EQ(mat.num_nodes(), g.num_nodes());
+      shard_edges += mat.num_edges();
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        EXPECT_EQ(view.label(v), mat.label(v));
-        ASSERT_EQ(view.OutDegree(v), mat.OutDegree(v));
-        ASSERT_EQ(view.InDegree(v), mat.InDegree(v));
-        const auto vo = view.OutNeighbors(v);
         const auto mo = mat.OutNeighbors(v);
-        EXPECT_TRUE(std::equal(vo.begin(), vo.end(), mo.begin(), mo.end()));
-        const auto vi = view.InNeighbors(v);
-        const auto mi = mat.InNeighbors(v);
-        EXPECT_TRUE(std::equal(vi.begin(), vi.end(), mi.begin(), mi.end()));
+        if (part.shard_of[v] == s) {
+          EXPECT_EQ(mat.label(v), g.label(v));
+          const auto go = g.OutNeighbors(v);
+          EXPECT_TRUE(std::equal(mo.begin(), mo.end(), go.begin(), go.end()));
+        } else {
+          EXPECT_EQ(mat.label(v), GhostLabel(v));
+          EXPECT_TRUE(mo.empty());
+        }
       }
     }
+    EXPECT_EQ(shard_edges, g.num_edges());
   }
 }
 
 TEST(ShardViewTest, GhostLabelsDistinguishEveryNonOwnedNode) {
   const Graph g = GenerateUniform(50, 150, 3, 3);
   const ShardPartition part = ShardPartition::Hash(g.num_nodes(), 2, 9);
-  const ShardView<Graph> view(g, part, 0);
+  const Graph shard = MaterializeShard(g, part, 0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (part.shard_of[v] == 0) {
-      EXPECT_EQ(view.label(v), g.label(v));
-      EXPECT_LT(view.label(v), kGhostLabelBase);
+      EXPECT_EQ(shard.label(v), g.label(v));
+      EXPECT_LT(shard.label(v), kGhostLabelBase);
     } else {
-      EXPECT_EQ(view.label(v), GhostLabel(v));
-      EXPECT_GE(view.label(v), kGhostLabelBase);
-      EXPECT_NE(view.label(v), kNoLabel);
+      EXPECT_EQ(shard.label(v), GhostLabel(v));
+      EXPECT_GE(shard.label(v), kGhostLabelBase);
+      EXPECT_NE(shard.label(v), kNoLabel);
     }
-  }
-}
-
-TEST(ShardViewTest, CompressionPipelineRunsUnmodifiedOnShardView) {
-  // The shard-local GraphView is a drop-in substrate for the whole batch
-  // pipeline: compressing the zero-copy view equals compressing the
-  // materialized shard graph.
-  const Graph g = GenerateUniform(70, 220, 3, 21);
-  const ShardPartition part = ShardPartition::Hash(g.num_nodes(), 3, 1);
-  for (uint32_t s = 0; s < part.num_shards; ++s) {
-    const ShardView<Graph> view(g, part, s);
-    const Graph mat = MaterializeShard(g, part, s);
-    const ReachCompression rc_view = CompressR(view);
-    const ReachCompression rc_mat = CompressR(mat);
-    EXPECT_EQ(rc_view.node_map, rc_mat.node_map);
-    EXPECT_EQ(rc_view.gr->EdgeList(), rc_mat.gr->EdgeList());
-    const PatternCompression pc_view = CompressB(view);
-    const PatternCompression pc_mat = CompressB(mat);
-    EXPECT_EQ(pc_view.node_map, pc_mat.node_map);
-    EXPECT_EQ(pc_view.gr->EdgeList(), pc_mat.gr->EdgeList());
   }
 }
 
@@ -380,6 +367,18 @@ TEST(ShardedServingTest, BoundaryExitsTrackCrossShardEdges) {
 // Frozen boundary summaries.
 // ---------------------------------------------------------------------------
 
+// The summary node `summary` records for `entry` (kNoSummaryNode when its
+// block was pruned), or nullopt when `entry` was no boundary entry at freeze
+// time: the facts the router's route tables read through entries_ptr() and
+// entry_summary_nodes().
+std::optional<NodeId> SummaryNodeOfEntry(const FrozenBoundarySummary& summary,
+                                         NodeId entry) {
+  const std::vector<NodeId>& entries = *summary.entries_ptr();
+  const auto it = std::lower_bound(entries.begin(), entries.end(), entry);
+  if (it == entries.end() || *it != entry) return std::nullopt;
+  return summary.entry_summary_nodes()[it - entries.begin()];
+}
+
 // For every boundary entry, the exit set read off the frozen summary (a BFS
 // over summary nodes collecting ExitsAt) must equal non-empty BFS
 // reachability from the entry to each exit on the materialized shard
@@ -400,11 +399,14 @@ TEST(ShardedServingTest, BoundarySummaryMatchesShardReachabilityOracle) {
     const Graph shard_graph = MaterializeShard(g, part, s);
     const std::vector<NodeId>& exits = *summary->exits_ptr();
     EXPECT_EQ(exits, snaps[s]->boundary_exits());
-    for (const NodeId entry : *summary->entries_ptr()) {
+    const std::vector<NodeId>& entries = *summary->entries_ptr();
+    ASSERT_EQ(summary->entry_summary_nodes().size(), entries.size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const NodeId entry = entries[i];
       ++entries_checked;
       std::unordered_set<NodeId> got;
-      NodeId node = FrozenBoundarySummary::kNoSummaryNode;
-      ASSERT_TRUE(summary->LookupEntry(entry, &node));
+      const NodeId node = summary->entry_summary_nodes()[i];
+      ASSERT_EQ(SummaryNodeOfEntry(*summary, entry), node);
       if (node != FrozenBoundarySummary::kNoSummaryNode) {
         std::vector<char> seen(summary->num_nodes(), 0);
         std::vector<NodeId> stack;
@@ -431,14 +433,59 @@ TEST(ShardedServingTest, BoundarySummaryMatchesShardReachabilityOracle) {
             << "entry " << entry << " exit " << exit;
       }
     }
-    // An unknown node (here: a ghost, never an owned entry) is reported as
-    // absent, not as an empty row — the router's fallback trigger.
+    // An unknown node (here: a ghost, never an owned entry) is absent from
+    // the entries, not listed with an empty row — the router's fallback
+    // trigger.
     if (!exits.empty()) {
-      NodeId ignored = 0;
-      EXPECT_FALSE(summary->LookupEntry(exits.front(), &ignored));
+      EXPECT_EQ(SummaryNodeOfEntry(*summary, exits.front()), std::nullopt);
     }
   }
   EXPECT_GT(entries_checked, 0u);
+}
+
+// ServingSnapshot::MemoryBytes counts each held byte once: the sides (a
+// graph both share counted once), the exit set, the exit index and the
+// boundary summary, which leaves out the exit set it shares with the
+// snapshot. An unsharded snapshot holds none of the boundary arrays.
+TEST(ShardedServingTest, SnapshotMemoryBytesCountsEachHeldByteOnce) {
+  Graph g = PreferentialAttachment(400, 3, 0.45, 13);
+  AssignZipfLabels(g, 4, 1.1, 14);
+  const auto side_bytes = [](const ServingSnapshot& snap) {
+    const size_t shared = snap.reach_side()->gr == snap.pattern_side()->gr
+                              ? snap.reach_gr().MemoryBytes()
+                              : 0;
+    return snap.reach_side()->MemoryBytes() +
+           snap.pattern_side()->MemoryBytes() - shared;
+  };
+  ShardedManagerOptions opts;
+  opts.num_shards = 2;
+  ShardedSnapshotManager mgr(g, opts);
+  for (uint32_t s = 0; s < opts.num_shards; ++s) {
+    SCOPED_TRACE(s);
+    const auto snap = mgr.Acquire(s);
+    const FrozenBoundarySummary* summary = snap->boundary_summary();
+    ASSERT_NE(summary, nullptr);
+    const std::vector<NodeId>& exits = snap->boundary_exits();
+    ASSERT_FALSE(exits.empty());
+    // Block offsets over the reach quotient, then one index per exit.
+    const size_t exit_index =
+        (snap->reach_gr().num_nodes() + 1) * sizeof(uint32_t) +
+        exits.size() * sizeof(NodeId);
+    EXPECT_EQ(snap->MemoryBytes(), side_bytes(*snap) + VectorBytes(exits) +
+                                       exit_index + summary->MemoryBytes());
+    // Rebuilding the summary over a copy of the exits with spare capacity
+    // leaves its bytes unchanged: it does not count the exit set.
+    auto roomy = std::make_shared<std::vector<NodeId>>(exits);
+    roomy->reserve(exits.size() + 4096);
+    FrozenBoundarySummary rebuilt;
+    rebuilt.Build(snap->reach_gr(), snap->reach_map(), std::move(roomy),
+                  summary->entries_ptr());
+    EXPECT_EQ(rebuilt.MemoryBytes(), summary->MemoryBytes());
+  }
+  const SnapshotManager single(g);
+  const auto snap = single.Acquire();
+  EXPECT_EQ(snap->boundary_summary(), nullptr);
+  EXPECT_EQ(snap->MemoryBytes(), side_bytes(*snap));
 }
 
 // A cross-shard edge whose target had no prior cross in-edges creates a
@@ -473,9 +520,8 @@ TEST(ShardedServingTest, RoutedReachExactForEntriesNewerThanTargetPublish) {
   EXPECT_EQ(mgr.BoundaryEntryCount(1), 1u);
   {
     const auto stale = mgr.shard(1).Acquire();
-    NodeId ignored = 0;
     ASSERT_NE(stale->boundary_summary(), nullptr);
-    EXPECT_FALSE(stale->boundary_summary()->LookupEntry(3, &ignored));
+    EXPECT_EQ(SummaryNodeOfEntry(*stale->boundary_summary(), 3), std::nullopt);
   }
   EXPECT_TRUE(service.Reach(0, 5));
   EXPECT_TRUE(service.Reach(0, 3));
@@ -488,8 +534,7 @@ TEST(ShardedServingTest, RoutedReachExactForEntriesNewerThanTargetPublish) {
   mgr.PublishShard(1, FreezeMode::kFull);
   {
     const auto fresh = mgr.shard(1).Acquire();
-    NodeId node = FrozenBoundarySummary::kNoSummaryNode;
-    EXPECT_TRUE(fresh->boundary_summary()->LookupEntry(3, &node));
+    EXPECT_NE(SummaryNodeOfEntry(*fresh->boundary_summary(), 3), std::nullopt);
   }
   EXPECT_TRUE(service.Reach(0, 5));
   EXPECT_FALSE(service.Reach(5, 0));
@@ -581,23 +626,26 @@ TEST(ShardedServingTest, PinCacheFollowsPublishes) {
   EXPECT_NE(pins1->versions(), pins3->versions());
 }
 
-TEST(ShardedServingTest, StitchCacheReusesSegmentsOfUnmovedShards) {
+// One stitch per pinned version vector: a cold pin builds, a repeated pin of
+// the same vector is the same pin object and builds nothing, and a
+// one-shard republish makes a new vector that builds once more. No
+// quotient is reused across vectors, so the reuse counters stay 0.
+TEST(ShardedServingTest, StitchCacheBuildsOncePerVersionVector) {
   const Graph g = GenerateUniform(80, 260, 3, 17);
   ShardedManagerOptions opts;
   opts.num_shards = 3;
   ShardedSnapshotManager mgr(g, opts);
   const ShardedQueryService service(mgr);
 
-  // Cold stitch: every segment built.
-  (void)service.Pin()->stitched();
-  StitchCache::Stats stats = service.stitch_stats();
-  EXPECT_EQ(stats.builds, 1u);
-  EXPECT_EQ(stats.full_reuses, 0u);
-  EXPECT_EQ(stats.segments_total, 3u);
-  EXPECT_EQ(stats.segments_reused, 0u);
+  const auto cold = service.Pin();
+  (void)cold->stitched();
+  EXPECT_EQ(service.stitch_stats().builds, 1u);
+  const auto again = service.Pin();
+  EXPECT_EQ(again.get(), cold.get());
+  (void)again->stitched();
+  EXPECT_EQ(service.stitch_stats().builds, 1u);
 
-  // Republish only shard 1 after a guaranteed-effective insert: the stitch
-  // carries the other two shards' frozen pattern sides by pointer.
+  // Republish only shard 1 after a guaranteed-effective insert.
   const std::vector<NodeId> owned = mgr.partition().OwnedNodes(1);
   UpdateBatch batch;
   [&] {
@@ -613,26 +661,16 @@ TEST(ShardedServingTest, StitchCacheReusesSegmentsOfUnmovedShards) {
   ASSERT_EQ(batch.size(), 1u);
   mgr.ApplyToShard(1, batch);
   mgr.PublishShard(1, FreezeMode::kFull);
-  (void)service.Pin()->stitched();
-  stats = service.stitch_stats();
+  const auto moved = service.Pin();
+  EXPECT_NE(moved.get(), cold.get());
+  (void)moved->stitched();
+  (void)moved->stitched();
+  const StitchCache::Stats stats = service.stitch_stats();
   EXPECT_EQ(stats.builds, 2u);
-  EXPECT_EQ(stats.segments_total, 6u);
-  EXPECT_EQ(stats.segments_reused, 2u);
-  EXPECT_DOUBLE_EQ(stats.reuse_ratio(), 2.0 / 6.0);
-
-  // Identical snapshot vector: the stitched quotient itself is served from
-  // the cache, counting all K segments as reused.
-  StitchCache cache;
-  const auto part = mgr.partition_ptr();
-  const auto snaps = mgr.AcquireAll();
-  const auto a = cache.Stitch(*part, snaps);
-  const auto b = cache.Stitch(*part, snaps);
-  EXPECT_EQ(a.get(), b.get());
-  const StitchCache::Stats direct = cache.stats();
-  EXPECT_EQ(direct.builds, 1u);
-  EXPECT_EQ(direct.full_reuses, 1u);
-  EXPECT_EQ(direct.segments_total, 6u);
-  EXPECT_EQ(direct.segments_reused, 3u);
+  EXPECT_EQ(stats.full_reuses, 0u);
+  EXPECT_EQ(stats.segments_total, 0u);
+  EXPECT_EQ(stats.segments_reused, 0u);
+  EXPECT_EQ(stats.reuse_ratio(), 0.0);
 }
 
 // ---------------------------------------------------------------------------
